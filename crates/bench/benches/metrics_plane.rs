@@ -1,14 +1,17 @@
 //! Metrics-plane microbenches: per-emit cost, plus the zero-allocation
 //! proof the design demands — once tags are interned, the hot-path
 //! operations (counter increments, component charges, invocation
-//! brackets) must never touch the heap.
+//! brackets) must never touch the heap, neither on the plane itself
+//! nor through the observer funnel the subsystems actually call.
 
 use std::rc::Rc;
 
 use criterion::alloc::CountingAlloc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vino_sim::metrics::{Component, Counter, MetricsPlane};
-use vino_sim::{Cycles, VirtualClock};
+use vino_sim::profile::ProfilePlane;
+use vino_sim::trace::{TraceEvent, TracePlane};
+use vino_sim::{Cycles, Observer, VirtualClock};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -49,6 +52,37 @@ fn bench(c: &mut Criterion) {
     let delta = ALLOC.allocations() - before;
     assert_eq!(delta, 0, "metrics emit hit the heap {delta} times in 100k emits");
     println!("metrics_plane/allocs_per_100k_emits      {delta:>12}");
+
+    // The same proof through the observer, with trace, metrics and
+    // profile all attached: every charge, emit and bracket fans out to
+    // the three planes and the counter twins.
+    let obs = Observer::new(Rc::clone(&clock));
+    obs.attach_trace(TracePlane::with_capacity(Rc::clone(&clock), 1 << 12)).unwrap();
+    obs.attach_metrics(MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8)).unwrap();
+    obs.attach_profile(ProfilePlane::with_capacity(Rc::clone(&clock), 8, 1 << 10)).unwrap();
+    let grafts = [obs.install("ra", 64), obs.install("evict", 64)];
+    for g in &grafts {
+        obs.begin_invocation(g);
+        obs.charge(Component::GraftFn, Cycles(100));
+        obs.end_invocation(g, true);
+    }
+    let before = ALLOC.allocations();
+    for i in 0..100_000u64 {
+        let g = &grafts[(i % 2) as usize];
+        obs.charge(Component::Indirection, Cycles(120));
+        obs.begin_invocation(g);
+        obs.charge(Component::TxnBegin, Cycles(4320));
+        obs.emit(TraceEvent::TxnBegin { thread: 1, txn: i, depth: 1 });
+        obs.charge(Component::Lock, Cycles(3960));
+        obs.emit(TraceEvent::LockAcquire { lock: 0, thread: 1 });
+        obs.charge(Component::TxnCommit, Cycles(3600));
+        obs.emit(TraceEvent::TxnCommit { thread: 1, txn: i, nested: false, locks: 1 });
+        obs.end_invocation(g, i % 5 != 0);
+    }
+    let delta = ALLOC.allocations() - before;
+    assert_eq!(delta, 0, "observer funnel hit the heap {delta} times in 100k invocations");
+    assert_eq!(obs.metrics().unwrap().get(Counter::TxnBegins), 100_000, "twins derived");
+    println!("metrics_plane/observer_allocs_per_100k   {delta:>12}");
 
     c.bench_function("metrics_plane/inc", |b| b.iter(|| mp.inc(black_box(Counter::TxnBegins))));
     c.bench_function("metrics_plane/charge", |b| {

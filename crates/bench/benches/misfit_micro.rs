@@ -24,7 +24,10 @@ fn bench(c: &mut Criterion) {
     c.bench_function("misfit/instrument_4k_instrs", |b| {
         b.iter(|| std::hint::black_box(instrument(&prog).unwrap()))
     });
-    let tool = MisfitTool::new(SigningKey::from_passphrase("bench"));
+    let tool = MisfitTool::new(
+        SigningKey::from_passphrase("bench"),
+        vino_sim::Observer::new(vino_sim::VirtualClock::new()),
+    );
     let (image, _) = tool.process(&prog).unwrap();
     c.bench_function("misfit/verify_and_decode", |b| {
         b.iter(|| std::hint::black_box(tool.verify_and_decode(&image).unwrap()))

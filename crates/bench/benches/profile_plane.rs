@@ -2,15 +2,17 @@
 //! plus the zero-allocation proof — once a graft's program is
 //! registered, the hot-path operations (per-PC billing, call-graph
 //! enter/exit on already-seen edges, invocation brackets, span marks)
-//! must never touch the heap.
+//! must never touch the heap, neither on the plane itself nor through
+//! the observer funnel the VM and the wrapper actually call.
 
 use std::rc::Rc;
 
 use criterion::alloc::CountingAlloc;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vino_sim::metrics::Component;
+use vino_sim::metrics::{Component, MetricsPlane};
 use vino_sim::profile::{ProfilePlane, SpanKind};
-use vino_sim::{Cycles, VirtualClock};
+use vino_sim::trace::{TraceEvent, TracePlane, VmExitKind};
+use vino_sim::{Cycles, Observer, VirtualClock};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -58,6 +60,37 @@ fn bench(c: &mut Criterion) {
     let delta = ALLOC.allocations() - before;
     assert_eq!(delta, 0, "profile billing hit the heap {delta} times in 100k instructions");
     println!("profile_plane/allocs_per_100k_instrs     {delta:>12}");
+
+    // The same proof through the observer, with trace, metrics and
+    // profile all attached: the wrapper's brackets and envelope charges
+    // plus the VM's per-instruction retire and window events.
+    let obs = Observer::new(Rc::clone(&clock));
+    obs.attach_trace(TracePlane::with_capacity(Rc::clone(&clock), 1 << 12)).unwrap();
+    obs.attach_metrics(MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8)).unwrap();
+    obs.attach_profile(ProfilePlane::with_capacity(Rc::clone(&clock), 8, 1 << 10)).unwrap();
+    let grafts = [obs.install("ra", 512), obs.install("evict", 512)];
+    for g in &grafts {
+        obs.begin_invocation(g);
+        obs.retire(g, 0, Component::GraftFn, Cycles(1));
+        obs.end_invocation(g, true);
+    }
+    let before = ALLOC.allocations();
+    for i in 0..100_000u64 {
+        let g = &grafts[(i % 2) as usize];
+        obs.begin_invocation(g);
+        obs.charge(Component::TxnBegin, Cycles(4320));
+        obs.emit(TraceEvent::TxnBegin { thread: 1, txn: i, depth: 1 });
+        let pc = (i % 512) as usize;
+        let comp = if pc.is_multiple_of(7) { Component::Sfi } else { Component::GraftFn };
+        obs.retire(g, pc, comp, Cycles(1 + (i % 4)));
+        obs.emit_as(g, TraceEvent::VmWindow { instrs: 1, exit: VmExitKind::Halt });
+        obs.charge(Component::TxnCommit, Cycles(3600));
+        obs.emit(TraceEvent::TxnCommit { thread: 1, txn: i, nested: false, locks: 0 });
+        obs.end_invocation(g, i % 5 != 0);
+    }
+    let delta = ALLOC.allocations() - before;
+    assert_eq!(delta, 0, "observer funnel hit the heap {delta} times in 100k invocations");
+    println!("profile_plane/observer_allocs_per_100k   {delta:>12}");
 
     c.bench_function("profile_plane/record_pc", |b| {
         b.iter(|| {

@@ -64,7 +64,7 @@ pub fn eviction_policy() -> PathTable {
 /// until it acquires a lock of the given time-out class.
 pub fn waiter_stall_us(timeout_us: u32) -> f64 {
     let clock = VirtualClock::new();
-    let mut m = TxnManager::new(Rc::clone(&clock));
+    let mut m = TxnManager::new(vino_sim::Observer::new(Rc::clone(&clock)));
     let lock = m.create_lock(LockClass::Custom(timeout_us));
     let hoarder = ThreadId(1);
     let waiter = ThreadId(2);

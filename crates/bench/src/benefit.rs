@@ -42,8 +42,8 @@ fn make_ra_world(grafted: bool) -> RaWorld {
     // file system shares that clock.
     let w = build(table3::RA_GRAFT_SRC, 32 * 1024, Variant::Safe, 1);
     let clock = Rc::clone(&w.clock);
-    let disk = Disk::new(Rc::clone(&clock));
-    let mut fs = FileSystem::format(Rc::clone(&clock), disk, 64, 8);
+    let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+    let mut fs = FileSystem::format(disk, 64, 8);
     fs.create("db", (FILE_BLOCKS * 4096) as u64).expect("fits");
     let fd = fs.open("db").expect("exists");
     let graft = if grafted {

@@ -1,6 +1,6 @@
 //! The machine-readable bench census: `vino-bench census [--json]`.
 //!
-//! Three sweeps, each also emitted as a `BENCH_<name>.json` file when
+//! Two sweeps, each also emitted as a `BENCH_<name>.json` file when
 //! `--json` is passed (hand-rolled serialization — the census has no
 //! dependency beyond `std`):
 //!
@@ -8,22 +8,18 @@
 //!   the amortization sweep ([`netfilter::BATCH_SWEEP`]), extracted
 //!   from the same [`crate::render::PathTable`] the paper-table run
 //!   renders.
-//! - `planes` — wall-clock ns/op for the observability hot paths:
-//!   trace emit (with and without a causal context), span minting, and
-//!   a metrics counter bump. These are host measurements, not virtual
-//!   cycles, so the JSON is a snapshot rather than a golden.
 //! - `repl_window` — the replication window sweep: shipped frames,
 //!   retransmissions, drops, and drain rounds to convergence at each
 //!   window size over a lossy wire, all in deterministic virtual time.
+//!
+//! Host-time costs of the observability hot paths are measured by the
+//! benchmark (`benchmark/`, the `sim.*` rows), with warm-up, black-boxed
+//! results and a median over repeated runs.
 
 use std::rc::Rc;
-use std::time::Instant;
 
 use vino_repl::{ReplConfig, ReplHarness};
-use vino_sim::clock::VirtualClock;
 use vino_sim::fault::FaultSite;
-use vino_sim::metrics::{Counter, MetricsPlane};
-use vino_sim::trace::{CauseCtx, SpanId, TraceEvent, TracePlane};
 
 use crate::netfilter;
 
@@ -68,10 +64,6 @@ fn json_doc(name: &str, unit: &str, rows: &[Vec<(&str, String)>]) -> String {
     out
 }
 
-fn json_str(s: &str) -> String {
-    format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""))
-}
-
 /// The µs/packet batch-amortization census, from the same measurement
 /// run that renders the packet-filter paper table.
 pub fn netfilter_census(reps: usize) -> Census {
@@ -91,57 +83,6 @@ pub fn netfilter_census(reps: usize) -> Census {
     }
     assert_eq!(rows.len(), netfilter::BATCH_SWEEP.len(), "sweep rows missing from the table");
     Census { name: "netfilter", text, json: json_doc("netfilter", "us_per_packet", &rows) }
-}
-
-/// Wall-clock ns/op for one hot-path closure.
-fn ns_per_op(iters: u64, mut f: impl FnMut()) -> f64 {
-    // One warmup pass keeps first-touch allocation out of the clock.
-    f();
-    let start = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-/// The observability hot-path census: ns per trace emit / span mint /
-/// counter bump, measured in host time.
-pub fn planes_census() -> Census {
-    const ITERS: u64 = 200_000;
-    let clock = VirtualClock::new();
-    // Capacity beyond ITERS would defeat the ring; a small ring keeps
-    // the bench honest about the steady-state (evicting) emit path.
-    let tp = TracePlane::with_capacity(Rc::clone(&clock), 1 << 12);
-    let metrics = MetricsPlane::new(Rc::clone(&clock));
-    let ctx = tp.mint_span(SpanId::NONE);
-    let mut ops: Vec<(&str, f64)> = Vec::new();
-    ops.push(("trace_emit", ns_per_op(ITERS, || tp.emit(TraceEvent::NetRx { port: 80, len: 64 }))));
-    ops.push((
-        "trace_emit_with_ctx",
-        ns_per_op(ITERS, || tp.emit_with_ctx(TraceEvent::NetRx { port: 80, len: 64 }, ctx)),
-    ));
-    ops.push((
-        "mint_span",
-        ns_per_op(ITERS, || {
-            let c = tp.mint_span(ctx.span);
-            std::hint::black_box(c);
-        }),
-    ));
-    ops.push((
-        "ctx_wire_roundtrip",
-        ns_per_op(ITERS, || {
-            let bytes = ctx.to_bytes();
-            std::hint::black_box(CauseCtx::from_bytes(&bytes));
-        }),
-    ));
-    ops.push(("metrics_inc", ns_per_op(ITERS, || metrics.inc(Counter::ReplShips))));
-    let mut text = String::from("op                   | ns/op (host wall clock)\n---------------------+------------------------\n");
-    let mut rows = Vec::new();
-    for (op, ns) in &ops {
-        text.push_str(&format!("{op:<20} | {ns:.1}\n"));
-        rows.push(vec![("op", json_str(op)), ("ns", format!("{ns:.1}"))]);
-    }
-    Census { name: "planes", text, json: json_doc("planes", "ns_per_op", &rows) }
 }
 
 /// One window-sweep row over a lossy wire, drained to convergence in
@@ -186,9 +127,9 @@ pub fn repl_window_census(seed: u64, steps: usize) -> Census {
     Census { name: "repl_window", text, json: json_doc("repl_window", "records", &rows) }
 }
 
-/// Runs all three censuses.
+/// Runs both censuses.
 pub fn run_all(reps: usize, seed: u64, steps: usize) -> Vec<Census> {
-    vec![netfilter_census(reps), planes_census(), repl_window_census(seed, steps)]
+    vec![netfilter_census(reps), repl_window_census(seed, steps)]
 }
 
 #[cfg(test)]
@@ -203,16 +144,6 @@ mod tests {
             assert!(c.json.contains(&format!("\"batch\": {n}")), "missing n={n}:\n{}", c.json);
         }
         assert!(c.json_file() == "BENCH_netfilter.json");
-    }
-
-    #[test]
-    fn planes_census_measures_every_hot_path() {
-        let c = planes_census();
-        for op in
-            ["trace_emit", "trace_emit_with_ctx", "mint_span", "ctx_wire_roundtrip", "metrics_inc"]
-        {
-            assert!(c.json.contains(&format!("\"op\": \"{op}\"")), "missing {op}:\n{}", c.json);
-        }
     }
 
     #[test]

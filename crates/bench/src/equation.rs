@@ -26,7 +26,7 @@ const T: ThreadId = ThreadId(1);
 /// work costs `undo_us`.
 pub fn abort_cost(locks: usize, undo_us: u64) -> f64 {
     let clock = VirtualClock::new();
-    let mut m = TxnManager::new(Rc::clone(&clock));
+    let mut m = TxnManager::new(vino_sim::Observer::new(Rc::clone(&clock)));
     let ids: Vec<_> = (0..locks).map(|_| m.create_lock(LockClass::Buffer)).collect();
     m.begin(T);
     for id in &ids {

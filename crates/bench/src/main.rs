@@ -494,7 +494,7 @@ fn main() {
                     "  repl        --seed S [--steps N]   replication census: convergence vs window size"
                 );
                 println!(
-                    "  census      [--json] [--reps N]    machine-readable sweeps; --json writes BENCH_<name>.json"
+                    "  census      [--json] [--reps N]    netfilter + repl-window sweeps; --json writes BENCH_<name>.json"
                 );
                 println!(
                     "  lagpath     --seed S [--steps N]   critical-path lag attribution vs the watch gauge"

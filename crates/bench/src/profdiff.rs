@@ -67,10 +67,7 @@ fn run_workload() -> (World, Rc<MetricsPlane>, Rc<ProfilePlane>) {
     for _ in 0..REPS {
         // The dispatch indirection, charged at the call site as the
         // subsystems do.
-        let cost = Cycles(costs::INDIRECTION_CYCLES);
-        w.clock.charge(cost);
-        mp.charge(Component::Indirection, cost);
-        pp.charge(Component::Indirection, cost);
+        w.engine.obs.charge(Component::Indirection, Cycles(costs::INDIRECTION_CYCLES));
         let out = w.graft.invoke([0, 0, 0, 0]);
         assert!(
             matches!(out, vino_core::engine::InvokeOutcome::Ok { .. }),

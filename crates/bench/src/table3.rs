@@ -206,9 +206,7 @@ mod tests {
             // The dispatch indirection, charged at the call site as in
             // `run` above; the plane holds it pending and attributes it
             // to the invocation it dispatches.
-            let cost = Cycles(costs::INDIRECTION_CYCLES);
-            w.clock.charge(cost);
-            mp.charge(Component::Indirection, cost);
+            w.engine.obs.charge(Component::Indirection, Cycles(costs::INDIRECTION_CYCLES));
             let out = w.graft.invoke([MATCH_AT as u64 * 4096, 4096, 0, 1 << 24]);
             assert!(matches!(out, InvokeOutcome::Ok { .. }), "{out:?}");
         }
@@ -269,10 +267,7 @@ mod tests {
         let reps = 100u64;
         let t0 = w.clock.now();
         for _ in 0..reps {
-            let cost = Cycles(costs::INDIRECTION_CYCLES);
-            w.clock.charge(cost);
-            mp.charge(Component::Indirection, cost);
-            pp.charge(Component::Indirection, cost);
+            w.engine.obs.charge(Component::Indirection, Cycles(costs::INDIRECTION_CYCLES));
             let out = w.graft.invoke([MATCH_AT as u64 * 4096, 4096, 0, 1 << 24]);
             assert!(matches!(out, InvokeOutcome::Ok { .. }), "{out:?}");
         }

@@ -23,9 +23,7 @@ const INVOKES: usize = 16;
 pub fn run() -> PathTable {
     let committer = build("mov r0, r1\nhalt r0", 4096, Variant::Safe, 0);
     let tp = TracePlane::with_capacity(Rc::clone(&committer.clock), 4096);
-    committer.engine.set_trace_plane(Rc::clone(&tp));
-    committer.engine.txn.borrow_mut().set_trace_plane(Rc::clone(&tp));
-    committer.engine.rm.borrow_mut().set_trace_plane(Rc::clone(&tp));
+    committer.engine.obs.attach_trace(Rc::clone(&tp)).expect("fresh engine");
     // Instances bind the plane at install time, so build them after the
     // attach; the committer above pre-dates it and goes untraced at the
     // VM layer — rebuild a traced pair on the shared engine instead.

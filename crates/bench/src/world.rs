@@ -10,7 +10,7 @@ use vino_misfit::{MisfitTool, SigningKey};
 use vino_sim::metrics::MetricsPlane;
 use vino_sim::profile::ProfilePlane;
 use vino_sim::stats::{trimmed_summary, Summary};
-use vino_sim::{ThreadId, VirtualClock};
+use vino_sim::{Observer, ThreadId, VirtualClock};
 use vino_txn::locks::LockClass;
 use vino_vm::asm::assemble;
 use vino_vm::isa::Program;
@@ -42,7 +42,7 @@ pub const BENCH_THREAD: ThreadId = ThreadId(1);
 /// (so the graft's lock handle 0 is always valid).
 pub fn build(src: &str, seg_size: usize, variant: Variant, locks: usize) -> World {
     let clock = VirtualClock::new();
-    let engine = GraftEngine::new(Rc::clone(&clock));
+    let engine = GraftEngine::new(Observer::new(Rc::clone(&clock)));
     for _ in 0..locks {
         engine.register_lock(LockClass::SharedBuffer);
     }
@@ -51,8 +51,8 @@ pub fn build(src: &str, seg_size: usize, variant: Variant, locks: usize) -> Worl
     World { engine, graft, clock }
 }
 
-/// [`build`] with a metrics plane wired through the engine's
-/// subsystems *before* the instance is created, so the instance interns
+/// [`build`] with a metrics plane attached to the engine's observer
+/// *before* the instance is created, so the instance interns
 /// its tag and its VM attributes instruction charges. Used by the
 /// runtime-attribution reconciliation tests (`docs/METRICS.md`).
 pub fn build_metered(
@@ -63,11 +63,8 @@ pub fn build_metered(
 ) -> (World, Rc<MetricsPlane>) {
     let clock = VirtualClock::new();
     let plane = MetricsPlane::new(Rc::clone(&clock));
-    let engine = GraftEngine::new(Rc::clone(&clock));
-    engine.txn.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.rm.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.reliability.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.set_metrics_plane(Rc::clone(&plane));
+    let engine = GraftEngine::new(Observer::new(Rc::clone(&clock)));
+    engine.obs.attach_metrics(Rc::clone(&plane)).expect("fresh engine");
     for _ in 0..locks {
         engine.register_lock(LockClass::SharedBuffer);
     }
@@ -76,7 +73,7 @@ pub fn build_metered(
     (World { engine, graft, clock }, plane)
 }
 
-/// [`build_metered`] plus a profile plane, wired the same way (before
+/// [`build_metered`] plus a profile plane, attached the same way (before
 /// the instance is created, so the VM bills per-PC cycles and the
 /// wrapper brackets invocations). Used by the profile reconciliation
 /// tests and the differential profile gate (`docs/PROFILING.md`).
@@ -89,14 +86,9 @@ pub fn build_profiled(
     let clock = VirtualClock::new();
     let plane = MetricsPlane::new(Rc::clone(&clock));
     let profile = ProfilePlane::new(Rc::clone(&clock));
-    let engine = GraftEngine::new(Rc::clone(&clock));
-    engine.txn.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.rm.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.reliability.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-    engine.set_metrics_plane(Rc::clone(&plane));
-    engine.txn.borrow_mut().set_profile_plane(Rc::clone(&profile));
-    engine.rm.borrow_mut().set_profile_plane(Rc::clone(&profile));
-    engine.set_profile_plane(Rc::clone(&profile));
+    let engine = GraftEngine::new(Observer::new(Rc::clone(&clock)));
+    engine.obs.attach_metrics(Rc::clone(&plane)).expect("fresh engine");
+    engine.obs.attach_profile(Rc::clone(&profile)).expect("fresh engine");
     for _ in 0..locks {
         engine.register_lock(LockClass::SharedBuffer);
     }
@@ -113,7 +105,7 @@ pub fn instance_from(
     seg_size: usize,
     variant: Variant,
 ) -> GraftInstance {
-    let tool = MisfitTool::new(SigningKey::from_passphrase("bench"));
+    let tool = MisfitTool::new(SigningKey::from_passphrase("bench"), Rc::clone(&engine.obs));
     let (image, protection) = match variant {
         Variant::Safe => {
             let (img, _) = tool.process(&prog).expect("instrumentation");

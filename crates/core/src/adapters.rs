@@ -253,7 +253,7 @@ mod tests {
     use crate::hostfn;
 
     fn make(src: &str, seg: usize) -> SharedGraft {
-        let engine = GraftEngine::new(VirtualClock::new());
+        let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
         let prog = assemble("adapter-test", src, &hostfn::symbols()).unwrap();
         let principal: PrincipalId = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(seg, 1024, Protection::Sfi);

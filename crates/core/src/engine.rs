@@ -15,11 +15,8 @@ use std::rc::Rc;
 
 use vino_misfit::CallableTable;
 use vino_rm::{PrincipalId, ResourceAccountant, ResourceKind};
-use vino_sim::fault::FaultPlane;
-use vino_sim::metrics::{MetricTag, MetricsPlane};
-use vino_sim::profile::{ProfTag, ProfilePlane};
-use vino_sim::trace::{AbortKind, CauseCtx, GraftTag, TraceEvent, TracePlane};
-use vino_sim::watch::WatchPlane;
+use vino_sim::obs::{GraftTags, Observer};
+use vino_sim::trace::{AbortKind, CauseCtx, TraceEvent};
 use vino_sim::{costs, Cycles, ThreadId, VirtualClock};
 use vino_txn::locks::{LockClass, LockId};
 use vino_txn::manager::{AbortReason, AbortReport, TxnId, TxnManager};
@@ -64,8 +61,11 @@ pub const KV_SLOTS: usize = 64;
 /// manager, the resource accountant, the kernel-state store the accessor
 /// functions guard, the graft-callable table and the lock-handle table.
 pub struct GraftEngine {
-    /// The virtual clock costs are charged to.
+    /// The virtual clock costs are charged to (the observer's clock).
     pub clock: Rc<VirtualClock>,
+    /// The observer every subsystem of the engine reports to; planes
+    /// attach here.
+    pub obs: Rc<Observer>,
     /// The transaction manager (§3.1).
     pub txn: Rc<RefCell<TxnManager>>,
     /// The resource accountant (§3.2).
@@ -83,120 +83,29 @@ pub struct GraftEngine {
     subgrafts: RefCell<Vec<Rc<RefCell<GraftInstance>>>>,
     /// Current graft-to-graft nesting depth.
     nest_depth: std::cell::Cell<u32>,
-    /// Fault plane attached to every subsequently created instance's VM.
-    fault: RefCell<Option<Rc<FaultPlane>>>,
-    /// Trace plane shared with every subsequently created instance's VM
-    /// and with the wrapper's lifecycle events.
-    trace: RefCell<Option<Rc<TracePlane>>>,
-    /// Metrics plane shared with every subsequently created instance's
-    /// VM and with the wrapper's invocation brackets.
-    metrics: RefCell<Option<Rc<MetricsPlane>>>,
-    /// Profile plane shared with every subsequently created instance's
-    /// VM (per-PC billing, call-graph capture) and with the wrapper's
-    /// invocation spans.
-    profile: RefCell<Option<Rc<ProfilePlane>>>,
-    /// Watch plane fed by the wrapper's install/invoke/abort/quarantine
-    /// events (sliding-window SLO evaluation; see `docs/WATCH.md`).
-    watch: RefCell<Option<Rc<WatchPlane>>>,
 }
 
 impl GraftEngine {
-    /// Creates an engine with fresh subsystems on `clock`.
-    pub fn new(clock: Rc<VirtualClock>) -> Rc<GraftEngine> {
-        let txn = Rc::new(RefCell::new(TxnManager::new(Rc::clone(&clock))));
+    /// Creates an engine with fresh subsystems reporting to `obs`.
+    ///
+    /// A graft instance binds the planes attached when it is created
+    /// (see [`GraftInstance::new`]); the wrapper feeds the watch plane
+    /// every install, invocation cost, abort and quarantine trip, keyed
+    /// by the installer who vouched for the graft.
+    pub fn new(obs: Rc<Observer>) -> Rc<GraftEngine> {
+        let txn = Rc::new(RefCell::new(TxnManager::new(Rc::clone(&obs))));
         Rc::new(GraftEngine {
-            clock,
+            clock: Rc::clone(obs.clock()),
             txn,
-            rm: Rc::new(RefCell::new(ResourceAccountant::new())),
-            reliability: Rc::new(RefCell::new(ReliabilityManager::new())),
+            rm: Rc::new(RefCell::new(ResourceAccountant::new(Rc::clone(&obs)))),
+            reliability: Rc::new(RefCell::new(ReliabilityManager::new(Rc::clone(&obs)))),
             kv: Rc::new(RefCell::new([0; KV_SLOTS])),
             callable: Rc::new(hostfn::build_callable_table()),
             lock_handles: Rc::new(RefCell::new(Vec::new())),
             subgrafts: RefCell::new(Vec::new()),
             nest_depth: std::cell::Cell::new(0),
-            fault: RefCell::new(None),
-            trace: RefCell::new(None),
-            metrics: RefCell::new(None),
-            profile: RefCell::new(None),
-            watch: RefCell::new(None),
+            obs,
         })
-    }
-
-    /// Attaches a fault plane to the engine: every graft VM created
-    /// *after* this call visits [`vino_sim::FaultSite::VmTrap`] on each
-    /// interpreted instruction. (Subsystem sites — disk, locks, rm,
-    /// loader — are wired by [`crate::Kernel::attach_fault_plane`].)
-    pub fn set_fault_plane(&self, plane: Rc<FaultPlane>) {
-        *self.fault.borrow_mut() = Some(plane);
-    }
-
-    /// The attached fault plane, if any.
-    pub fn fault_plane(&self) -> Option<Rc<FaultPlane>> {
-        self.fault.borrow().clone()
-    }
-
-    /// Attaches a trace plane to the engine: every graft instance
-    /// created *after* this call traces its VM windows and SFI checks,
-    /// and every wrapper invocation emits `graft.*` lifecycle events
-    /// plus a flight-recorder post-mortem on abort. (Subsystem planes —
-    /// fs, txn, rm, reliability — are wired by
-    /// [`crate::Kernel::attach_trace_plane`].)
-    pub fn set_trace_plane(&self, plane: Rc<TracePlane>) {
-        *self.trace.borrow_mut() = Some(plane);
-    }
-
-    /// The attached trace plane, if any.
-    pub fn trace_plane(&self) -> Option<Rc<TracePlane>> {
-        self.trace.borrow().clone()
-    }
-
-    /// Attaches a metrics plane to the engine: every graft instance
-    /// created *after* this call counts its VM activity and attributes
-    /// instruction charges, and every wrapper invocation is bracketed
-    /// into the per-graft overhead-attribution ledger. (Subsystem
-    /// planes — fs, txn, rm, reliability — are wired by
-    /// [`crate::Kernel::attach_metrics_plane`].)
-    pub fn set_metrics_plane(&self, plane: Rc<MetricsPlane>) {
-        *self.metrics.borrow_mut() = Some(plane);
-    }
-
-    /// The attached metrics plane, if any.
-    pub fn metrics_plane(&self) -> Option<Rc<MetricsPlane>> {
-        self.metrics.borrow().clone()
-    }
-
-    /// Attaches a profile plane to the engine: every graft instance
-    /// created *after* this call bills each retired instruction to its
-    /// (graft, function, pc) key and captures its local call graph, and
-    /// every wrapper invocation opens a span in the invocation tree.
-    /// (Subsystem planes — fs, txn, rm — are wired by
-    /// [`crate::Kernel::attach_profile_plane`].)
-    pub fn set_profile_plane(&self, plane: Rc<ProfilePlane>) {
-        *self.profile.borrow_mut() = Some(plane);
-    }
-
-    /// The attached profile plane, if any.
-    pub fn profile_plane(&self) -> Option<Rc<ProfilePlane>> {
-        self.profile.borrow().clone()
-    }
-
-    /// Attaches a watch plane to the engine: every graft install,
-    /// invocation (with its cycle cost), abort and quarantine trip
-    /// recorded *after* this call feeds the plane's sliding windows,
-    /// keyed by the installer who vouched for the graft (the
-    /// accountant's blame target — the same principal admission
-    /// control gates). (Subsystem windows —
-    /// journal occupancy, RX shed, lock time-outs — are wired by
-    /// [`crate::Kernel::attach_watch_plane`].) Recording never charges
-    /// the virtual clock, so attaching a watch plane changes no
-    /// timings.
-    pub fn set_watch_plane(&self, plane: Rc<WatchPlane>) {
-        *self.watch.borrow_mut() = Some(plane);
-    }
-
-    /// The attached watch plane, if any.
-    pub fn watch_plane(&self) -> Option<Rc<WatchPlane>> {
-        self.watch.borrow().clone()
     }
 
     /// Registers a lockable kernel object and exposes it to grafts as a
@@ -519,12 +428,8 @@ pub struct GraftInstance {
     /// detector for grafts in the kernel's path).
     pub max_slices: u32,
     stats: InvokeStats,
-    /// Interned trace tag for this graft's name (if a plane is wired).
-    tag: Option<GraftTag>,
-    /// Interned metrics tag for this graft's name (if a plane is wired).
-    mtag: Option<MetricTag>,
-    /// Interned profile tag for this graft's name (if a plane is wired).
-    ptag: Option<ProfTag>,
+    /// The graft's tags in the planes attached at install.
+    tags: GraftTags,
     /// Clock reading at the start of the current invocation, so the
     /// watch plane can be fed the invocation's cycle cost on both the
     /// commit and the abort exits.
@@ -536,6 +441,11 @@ pub struct GraftInstance {
 
 impl GraftInstance {
     /// Builds an instance from its parts (normally done by the loader).
+    ///
+    /// Install time, the only point plane bookkeeping may allocate: the
+    /// graft's name is interned in every plane attached *now* and the
+    /// install announced; the VM and the invocation brackets feed those
+    /// planes, and no plane attached later, for the instance's life.
     pub fn new(
         engine: Rc<GraftEngine>,
         program: Program,
@@ -543,37 +453,12 @@ impl GraftInstance {
         thread: ThreadId,
         principal: PrincipalId,
     ) -> GraftInstance {
-        let mut vm = Vm::new(mem);
-        if let Some(plane) = engine.fault_plane() {
-            vm.set_fault_plane(plane);
-        }
-        // Intern the graft name once at install time (the only point a
-        // trace event may allocate) and announce the install.
-        let tag = engine.trace_plane().map(|tp| {
-            vm.set_trace_plane(Rc::clone(&tp));
-            let tag = tp.tag(&program.name);
-            tp.emit(TraceEvent::GraftInstall { graft: tag });
-            tag
-        });
-        // Same install-time interning for the metrics plane.
-        let mtag = engine.metrics_plane().map(|mp| {
-            vm.set_metrics_plane(Rc::clone(&mp));
-            let mtag = mp.tag(&program.name);
-            mp.mark_install(mtag);
-            mtag
-        });
-        // And for the profile plane, which also pre-sizes the per-PC
-        // arrays to the program length so the hot path never allocates.
-        let ptag = engine.profile_plane().map(|pp| {
-            let ptag = pp.tag(&program.name);
-            pp.register_program(ptag, program.instrs.len());
-            vm.set_profile_plane(Rc::clone(&pp), ptag);
-            ptag
-        });
+        let tags = engine.obs.install(&program.name, program.instrs.len());
+        let vm = Vm::observed(mem, Rc::clone(&engine.obs), tags);
         // Watch plane: count the install and pre-create the blamed
         // principal's window slot now, while allocation is permitted.
         let blame = engine.rm.borrow().blame_target(principal);
-        if let Some(wp) = engine.watch_plane() {
+        if let Some(wp) = engine.obs.watch() {
             wp.touch_principal(blame.0);
             wp.observe_install(blame.0);
         }
@@ -588,17 +473,9 @@ impl GraftInstance {
             dead: false,
             max_slices: 16,
             stats: InvokeStats::default(),
-            tag,
-            mtag,
-            ptag,
+            tags,
             invoke_started: Cycles::ZERO,
             prev_ctx: CauseCtx::NONE,
-        }
-    }
-
-    fn emit(&self, ev: TraceEvent) {
-        if let Some(tp) = self.engine.trace.borrow().as_ref() {
-            tp.emit(ev);
         }
     }
 
@@ -608,7 +485,7 @@ impl GraftInstance {
     /// installed as the plane's current context. Every event the
     /// invocation emits, on any subsystem, inherits it.
     fn begin_invoke_span(&mut self) {
-        if let Some(tp) = self.engine.trace_plane() {
+        if let Some(tp) = self.engine.obs.trace() {
             let ctx = tp.mint_span(tp.ctx().span);
             self.prev_ctx = tp.set_ctx(ctx);
         }
@@ -617,7 +494,7 @@ impl GraftInstance {
     /// Closes the invocation's causal span, restoring the context that
     /// was in force before it. Both exits (commit and abort) land here.
     fn end_invoke_span(&mut self) {
-        if let Some(tp) = self.engine.trace_plane() {
+        if let Some(tp) = self.engine.obs.trace() {
             tp.set_ctx(self.prev_ctx);
         }
     }
@@ -679,7 +556,7 @@ impl GraftInstance {
             self.engine.clock.now(),
         );
         if let reliability::Verdict::Quarantined { .. } = verdict {
-            if let Some(wp) = self.engine.watch_plane() {
+            if let Some(wp) = self.engine.obs.watch() {
                 wp.observe_quarantine(self.blame.0);
             }
         }
@@ -689,7 +566,7 @@ impl GraftInstance {
     /// plane's p99 window (both exits call this: commit directly,
     /// abort via [`fail`](Self::fail)).
     fn observe_watch_invoke(&self) {
-        if let Some(wp) = self.engine.watch_plane() {
+        if let Some(wp) = self.engine.obs.watch() {
             let cost = self.engine.clock.now() - self.invoke_started;
             wp.observe_invoke(self.blame.0, cost);
         }
@@ -705,37 +582,13 @@ impl GraftInstance {
     /// [`GraftInstance::invoke`] with an explicit commit mode.
     pub fn invoke_mode(&mut self, args: [u64; 4], mode: CommitMode) -> InvokeOutcome {
         if self.dead {
-            if let Some(tag) = self.tag {
-                self.emit(TraceEvent::FallbackServed { graft: tag });
-            }
-            if let Some(mtag) = self.mtag {
-                if let Some(mp) = self.engine.metrics_plane() {
-                    mp.mark_fallback(mtag);
-                }
-            }
-            if self.ptag.is_some() {
-                if let Some(pp) = self.engine.profile_plane() {
-                    pp.mark_fallback();
-                }
-            }
+            self.engine.obs.fallback(&self.tags);
             return InvokeOutcome::Dead;
         }
         self.stats.invocations += 1;
         self.invoke_started = self.engine.clock.now();
         self.begin_invoke_span();
-        if let Some(tag) = self.tag {
-            self.emit(TraceEvent::GraftInvoke { graft: tag });
-        }
-        if let Some(mtag) = self.mtag {
-            if let Some(mp) = self.engine.metrics_plane() {
-                mp.begin_invocation(mtag);
-            }
-        }
-        if let Some(ptag) = self.ptag {
-            if let Some(pp) = self.engine.profile_plane() {
-                pp.begin_invocation(ptag);
-            }
-        }
+        self.engine.obs.begin_invocation(&self.tags);
         let engine = Rc::clone(&self.engine);
         let txn_id = engine.txn.borrow_mut().begin(self.thread);
         self.vm.reset();
@@ -754,19 +607,7 @@ impl GraftInstance {
                             let committed = engine.txn.borrow_mut().commit(self.thread).is_ok();
                             if committed {
                                 self.stats.commits += 1;
-                                if let Some(tag) = self.tag {
-                                    self.emit(TraceEvent::GraftCommit { graft: tag });
-                                }
-                                if self.mtag.is_some() {
-                                    if let Some(mp) = self.engine.metrics_plane() {
-                                        mp.end_invocation(true);
-                                    }
-                                }
-                                if self.ptag.is_some() {
-                                    if let Some(pp) = self.engine.profile_plane() {
-                                        pp.end_invocation(true);
-                                    }
-                                }
+                                self.engine.obs.end_invocation(&self.tags, true);
                                 self.observe_watch_invoke();
                                 self.end_invoke_span();
                                 InvokeOutcome::Ok { result, extents: host.extents, log: host.log }
@@ -838,19 +679,7 @@ impl GraftInstance {
         F: FnMut(usize, &mut AddressSpace) -> [u64; 4],
     {
         if self.dead {
-            if let Some(tag) = self.tag {
-                self.emit(TraceEvent::FallbackServed { graft: tag });
-            }
-            if let Some(mtag) = self.mtag {
-                if let Some(mp) = self.engine.metrics_plane() {
-                    mp.mark_fallback(mtag);
-                }
-            }
-            if self.ptag.is_some() {
-                if let Some(pp) = self.engine.profile_plane() {
-                    pp.mark_fallback();
-                }
-            }
+            self.engine.obs.fallback(&self.tags);
             return BatchOutcome::Dead;
         }
         if count == 0 {
@@ -859,19 +688,7 @@ impl GraftInstance {
         self.stats.invocations += 1;
         self.invoke_started = self.engine.clock.now();
         self.begin_invoke_span();
-        if let Some(tag) = self.tag {
-            self.emit(TraceEvent::GraftInvoke { graft: tag });
-        }
-        if let Some(mtag) = self.mtag {
-            if let Some(mp) = self.engine.metrics_plane() {
-                mp.begin_invocation(mtag);
-            }
-        }
-        if let Some(ptag) = self.ptag {
-            if let Some(pp) = self.engine.profile_plane() {
-                pp.begin_invocation(ptag);
-            }
-        }
+        self.engine.obs.begin_invocation(&self.tags);
         let engine = Rc::clone(&self.engine);
         let txn_id = engine.txn.borrow_mut().begin(self.thread);
         let mut host = KernelHost::new(Rc::clone(&engine), self.thread, self.principal);
@@ -927,19 +744,7 @@ impl GraftInstance {
         let committed = engine.txn.borrow_mut().commit(self.thread).is_ok();
         if committed {
             self.stats.commits += 1;
-            if let Some(tag) = self.tag {
-                self.emit(TraceEvent::GraftCommit { graft: tag });
-            }
-            if self.mtag.is_some() {
-                if let Some(mp) = self.engine.metrics_plane() {
-                    mp.end_invocation(true);
-                }
-            }
-            if self.ptag.is_some() {
-                if let Some(pp) = self.engine.profile_plane() {
-                    pp.end_invocation(true);
-                }
-            }
+            self.engine.obs.end_invocation(&self.tags, true);
             self.observe_watch_invoke();
             self.end_invoke_span();
             BatchOutcome::Ok { results }
@@ -990,22 +795,13 @@ impl GraftInstance {
     fn fail(&mut self, why: AbortedWhy, report: AbortReport) -> InvokeOutcome {
         self.stats.aborts += 1;
         self.dead = true;
-        if self.mtag.is_some() {
-            if let Some(mp) = self.engine.metrics_plane() {
-                mp.end_invocation(false);
-            }
-        }
-        if self.ptag.is_some() {
-            if let Some(pp) = self.engine.profile_plane() {
-                pp.end_invocation(false);
-            }
-        }
+        self.engine.obs.end_invocation(&self.tags, false);
         let kind = reliability::classify(&why);
         self.engine.rm.borrow_mut().charge_blame(self.principal, report.cost.get());
-        if let Some(tp) = self.engine.trace_plane() {
+        if let Some(tp) = self.engine.obs.trace() {
             let abort_kind = abort_kind_of(&why);
-            if let Some(tag) = self.tag {
-                tp.emit(TraceEvent::GraftAbort { graft: tag, kind: abort_kind });
+            if let Some(graft) = self.tags.trace {
+                tp.emit(TraceEvent::GraftAbort { graft, kind: abort_kind });
             }
             // The flight recorder: snapshot the trace tail and the
             // abort's vital signs (abort path, allocation allowed).
@@ -1023,7 +819,7 @@ impl GraftInstance {
             self.engine.clock.now(),
         );
         self.observe_watch_invoke();
-        if let Some(wp) = self.engine.watch_plane() {
+        if let Some(wp) = self.engine.obs.watch() {
             wp.observe_abort(self.blame.0);
             if let reliability::Verdict::Quarantined { .. } = verdict {
                 wp.observe_quarantine(self.blame.0);
@@ -1072,7 +868,7 @@ mod tests {
     const T: ThreadId = ThreadId(7);
 
     fn instance(src: &str) -> GraftInstance {
-        let engine = GraftEngine::new(VirtualClock::new());
+        let engine = GraftEngine::new(Observer::new(VirtualClock::new()));
         let prog = assemble("test-graft", src, &hostfn::symbols()).unwrap();
         let principal = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(4096, 1024, Protection::Sfi);
@@ -1241,7 +1037,7 @@ mod tests {
         // AbortAtEnd? Simplest deterministic check: graft acquires the
         // lock, and while its txn is open (we re-enter via engine), a
         // second thread's blocking acquire aborts it.
-        let engine = GraftEngine::new(VirtualClock::new());
+        let engine = GraftEngine::new(Observer::new(VirtualClock::new()));
         let (_h, lock_id) = engine.register_lock(LockClass::Buffer);
         let t_graft = ThreadId(1);
         let t_other = ThreadId(2);

@@ -421,7 +421,7 @@ mod tests {
             return got * 2;
         }";
         let prog = compile_source("kv-graft", src).unwrap();
-        let engine = GraftEngine::new(VirtualClock::new());
+        let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
         let principal = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(4096, 256, Protection::Sfi);
         let mut g = GraftInstance::new(Rc::clone(&engine), prog, mem, ThreadId(1), principal);
@@ -445,7 +445,7 @@ mod tests {
             return 0;
         }";
         let prog = compile_source("nest", src).unwrap();
-        let engine = GraftEngine::new(VirtualClock::new());
+        let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
         let principal = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(4096, 256, Protection::Sfi);
         let mut g = GraftInstance::new(Rc::clone(&engine), prog, mem, ThreadId(1), principal);

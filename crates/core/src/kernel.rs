@@ -1,4 +1,4 @@
-//! The VINO kernel facade: every subsystem wired together, with the
+//! The VINO kernel facade: every subsystem built around one observer, with the
 //! install entry points for each graft class and the network-event
 //! dispatch loop of §3.5.
 
@@ -14,8 +14,8 @@ use vino_mem::{MemorySystem, VasId};
 use vino_misfit::{MisfitTool, SignedImage, SigningKey};
 use vino_rm::{Limits, PrincipalId};
 use vino_sim::fault::FaultPlane;
-use vino_sim::metrics::{Counter, MetricsPlane};
-use vino_sim::plane::AttachSlot;
+use vino_sim::metrics::MetricsPlane;
+use vino_sim::obs::Observer;
 use vino_sim::profile::ProfilePlane;
 use vino_sim::trace::{PostMortem, TraceEvent, TracePlane};
 use vino_sim::watch::WatchPlane;
@@ -91,16 +91,13 @@ impl Default for KernelConfig {
 
 /// Rejected plane attachment.
 ///
-/// [`Kernel::attach_fault_plane`], [`Kernel::attach_trace_plane`],
-/// [`Kernel::attach_metrics_plane`] and
-/// [`Kernel::attach_profile_plane`]
-/// are attach-once: subsystems clone the `Rc` at attach time and grafts
-/// bind the plane at install time, so silently swapping planes mid-run
-/// would leave earlier grafts and subsystems on the old plane — a
-/// half-attached state with nondeterministic coverage. The contract is
-/// therefore *error on double attach*, enforced by one
-/// [`vino_sim::plane::AttachSlot`] per plane kind (shared
-/// with the sim crate, which owns the error type).
+/// The `Kernel::attach_*_plane` methods are attach-once: grafts bind
+/// the planes attached at install time, so silently swapping a plane
+/// mid-run would leave earlier grafts on the old one — a half-attached
+/// state with nondeterministic coverage. The contract is therefore
+/// *error on double attach*, enforced by the kernel's
+/// [`vino_sim::obs::Observer`], which holds one attach-once slot per
+/// plane kind (see [`vino_sim::plane`]).
 pub use vino_sim::plane::AttachError;
 
 /// The result of dispatching one network event.
@@ -131,11 +128,6 @@ pub struct Kernel {
     namespace: RefCell<GraftNamespace>,
     event_points: RefCell<HashMap<Port, EventPoint>>,
     fn_grafts: RefCell<HashMap<String, SharedGraft>>,
-    fault_attached: AttachSlot,
-    trace_attached: AttachSlot,
-    metrics_attached: AttachSlot,
-    profile_attached: AttachSlot,
-    watch_attached: AttachSlot,
     admission: RefCell<AdmissionController>,
 }
 
@@ -156,9 +148,9 @@ impl Kernel {
     /// every cross-kernel interleaving is a deterministic function of
     /// the seed.
     pub fn boot_with_clock(cfg: KernelConfig, clock: Rc<VirtualClock>) -> Rc<Kernel> {
-        let disk = Disk::new(Rc::clone(&clock));
-        let fs = FileSystem::format(Rc::clone(&clock), disk, cfg.cache_blocks, cfg.max_files);
-        Kernel::assemble(cfg, clock, fs)
+        let obs = Observer::new(clock);
+        let fs = FileSystem::format(Disk::new(Rc::clone(&obs)), cfg.cache_blocks, cfg.max_files);
+        Kernel::assemble(cfg, obs, fs)
     }
 
     /// Boots a kernel over the surviving disk image of a crashed (or
@@ -182,13 +174,15 @@ impl Kernel {
         clock: Rc<VirtualClock>,
         image: DiskImage,
     ) -> Result<Rc<Kernel>, FsError> {
-        let disk = Disk::from_image(Rc::clone(&clock), image).map_err(|_| FsError::BadVolume)?;
-        let fs = FileSystem::mount(Rc::clone(&clock), disk, cfg.cache_blocks)?;
-        Ok(Kernel::assemble(cfg, clock, fs))
+        let obs = Observer::new(clock);
+        let disk = Disk::from_image(Rc::clone(&obs), image).map_err(|_| FsError::BadVolume)?;
+        let fs = FileSystem::mount(disk, cfg.cache_blocks)?;
+        Ok(Kernel::assemble(cfg, obs, fs))
     }
 
-    fn assemble(cfg: KernelConfig, clock: Rc<VirtualClock>, fs: FileSystem) -> Rc<Kernel> {
-        let engine = GraftEngine::new(Rc::clone(&clock));
+    fn assemble(cfg: KernelConfig, obs: Rc<Observer>, fs: FileSystem) -> Rc<Kernel> {
+        let clock = Rc::clone(obs.clock());
+        let engine = GraftEngine::new(Rc::clone(&obs));
         let mut ns = GraftNamespace::new();
         ns.define(point_names::COMPUTE_RA, PointKind::Function { restricted: false });
         ns.define(point_names::PICK_VICTIM, PointKind::Function { restricted: false });
@@ -201,16 +195,11 @@ impl Kernel {
             sched: RefCell::new(vino_sched::Scheduler::new(Rc::clone(&clock))),
             mem: RefCell::new(MemorySystem::new(Rc::clone(&clock), cfg.memory_pages)),
             fs: RefCell::new(fs),
-            nic: RefCell::new(Nic::new()),
-            tool: MisfitTool::new(SigningKey::from_passphrase(&cfg.signing_passphrase)),
+            nic: RefCell::new(Nic::new(Rc::clone(&obs))),
+            tool: MisfitTool::new(SigningKey::from_passphrase(&cfg.signing_passphrase), obs),
             namespace: RefCell::new(ns),
             event_points: RefCell::new(HashMap::new()),
             fn_grafts: RefCell::new(HashMap::new()),
-            fault_attached: AttachSlot::new(),
-            trace_attached: AttachSlot::new(),
-            metrics_attached: AttachSlot::new(),
-            profile_attached: AttachSlot::new(),
-            watch_attached: AttachSlot::new(),
             admission: RefCell::new(AdmissionController::new()),
             engine,
             clock,
@@ -222,110 +211,74 @@ impl Kernel {
         self.namespace.borrow()
     }
 
-    /// Attaches one fault plane to every instrumented subsystem: disk
-    /// I/O (via the file system), lock time-outs, resource exhaustion,
-    /// image verification, and — for grafts loaded after this call —
-    /// the VM's per-instruction trap site. One plane, one seed, one
+    /// The observer every subsystem of this kernel reports to (one per
+    /// kernel; see [`vino_sim::obs`]).
+    pub fn observer(&self) -> &Rc<Observer> {
+        &self.engine.obs
+    }
+
+    /// Attaches the fault plane: disk I/O, the file system's crash
+    /// points, lock time-outs, resource exhaustion, image verification
+    /// and — for grafts loaded after this call — the VM's
+    /// per-instruction trap site. One plane, one seed, one
     /// deterministic schedule across the whole kernel.
     ///
     /// Attach-once: a second call returns
     /// [`AttachError::AlreadyAttached`] (see [`AttachError`] for why a
     /// silent swap would be wrong).
     pub fn attach_fault_plane(&self, plane: Rc<FaultPlane>) -> Result<(), AttachError> {
-        self.fault_attached.claim()?;
-        self.fs.borrow_mut().set_fault_plane(Rc::clone(&plane));
-        self.engine.txn.borrow_mut().set_fault_plane(Rc::clone(&plane));
-        self.engine.rm.borrow_mut().set_fault_plane(Rc::clone(&plane));
-        self.tool.set_fault_plane(Rc::clone(&plane));
-        self.engine.set_fault_plane(plane);
-        Ok(())
+        self.observer().attach_fault(plane)
     }
 
-    /// Attaches one trace plane to every instrumented subsystem: file
-    /// system, transaction manager, resource accountant, reliability
-    /// manager, and — for grafts loaded after this call — the VM and
-    /// the wrapper's graft-lifecycle events. One plane, one canonical
-    /// event stream across the whole kernel (see `docs/TRACING.md`).
+    /// Attaches the trace plane: one canonical event stream across the
+    /// whole kernel (see `docs/TRACING.md`). Grafts loaded after this
+    /// call also trace their VM windows, SFI checks and lifecycle.
+    /// Recovery events from mount are replayed into it now.
     ///
     /// Attach-once, like [`attach_fault_plane`](Self::attach_fault_plane).
     pub fn attach_trace_plane(&self, plane: Rc<TracePlane>) -> Result<(), AttachError> {
-        self.trace_attached.claim()?;
-        self.fs.borrow_mut().set_trace_plane(Rc::clone(&plane));
-        self.engine.txn.borrow_mut().set_trace_plane(Rc::clone(&plane));
-        self.engine.rm.borrow_mut().set_trace_plane(Rc::clone(&plane));
-        self.engine.reliability.borrow_mut().set_trace_plane(Rc::clone(&plane));
-        self.engine.set_trace_plane(plane);
-        Ok(())
+        self.observer().attach_trace(plane)
     }
 
-    /// Attaches one metrics plane to every instrumented subsystem: file
-    /// system, transaction manager, resource accountant, reliability
-    /// manager, and — for grafts loaded after this call — the VM and
-    /// the wrapper's per-invocation overhead-attribution brackets. One
-    /// plane, one set of counters/histograms/ledgers across the whole
-    /// kernel (see `docs/METRICS.md`). Recording never charges the
-    /// virtual clock, so attaching a metrics plane changes no timings.
+    /// Attaches the metrics plane: one set of counters, histograms and
+    /// attribution ledgers across the whole kernel (see
+    /// `docs/METRICS.md`). Grafts loaded after this call also attribute
+    /// their instruction charges and bracket their invocations.
+    /// Recording never charges the virtual clock, so attaching a
+    /// metrics plane changes no timings.
     ///
     /// Attach-once, like [`attach_fault_plane`](Self::attach_fault_plane).
     pub fn attach_metrics_plane(&self, plane: Rc<MetricsPlane>) -> Result<(), AttachError> {
-        self.metrics_attached.claim()?;
-        self.fs.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-        self.engine.txn.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-        self.engine.rm.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-        self.engine.reliability.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-        self.nic.borrow_mut().set_metrics_plane(Rc::clone(&plane));
-        self.engine.set_metrics_plane(plane);
-        Ok(())
+        self.observer().attach_metrics(plane)
     }
 
-    /// Attaches one profile plane to every instrumented subsystem: file
-    /// system (dispatch indirection), transaction manager (envelope
-    /// charges and spans), resource accountant (grant marks), and — for
-    /// grafts loaded after this call — the VM's per-PC billing,
-    /// call-graph capture and the wrapper's invocation spans. One
-    /// plane, one cycle-exact profile across the whole kernel (see
-    /// `docs/PROFILING.md`). Recording never charges the virtual clock,
-    /// so attaching a profile plane changes no timings.
+    /// Attaches the profile plane: one cycle-exact profile across the
+    /// whole kernel (see `docs/PROFILING.md`). Grafts loaded after this
+    /// call also bill per PC, capture their call graphs and open
+    /// invocation spans. Recording never charges the virtual clock.
     ///
     /// Attach-once, like [`attach_fault_plane`](Self::attach_fault_plane).
     pub fn attach_profile_plane(&self, plane: Rc<ProfilePlane>) -> Result<(), AttachError> {
-        self.profile_attached.claim()?;
-        self.fs.borrow_mut().set_profile_plane(Rc::clone(&plane));
-        self.engine.txn.borrow_mut().set_profile_plane(Rc::clone(&plane));
-        self.engine.rm.borrow_mut().set_profile_plane(Rc::clone(&plane));
-        self.engine.set_profile_plane(plane);
-        Ok(())
+        self.observer().attach_profile(plane)
     }
 
-    /// Attaches one watch plane to every instrumented subsystem: the
-    /// graft wrapper (install / invocation-cost / abort / quarantine
-    /// windows, keyed by principal), the file system (journal
-    /// occupancy), and the transaction manager (lock time-out rate).
-    /// The RX shed-rate window is fed by the packet plane (`vino-net`),
-    /// which reaches the plane through the engine accessor. Attaching
-    /// a watch plane also arms the admission controller: from now on
-    /// every install is gated on the plane's firing alerts (see
-    /// `docs/WATCH.md`). Recording never charges the virtual clock, so
-    /// attaching a watch plane changes no timings — only install
-    /// admissibility.
+    /// Attaches the watch plane (see `docs/WATCH.md`). With a trace
+    /// plane already attached, alert edges are mirrored into it.
+    /// Attaching a watch plane also arms the admission controller: from
+    /// now on every install is gated on the plane's firing alerts.
+    /// Recording never charges the virtual clock, so attaching a watch
+    /// plane changes no timings — only install admissibility.
     ///
     /// Attach-once, like [`attach_fault_plane`](Self::attach_fault_plane).
     pub fn attach_watch_plane(&self, plane: Rc<WatchPlane>) -> Result<(), AttachError> {
-        self.watch_attached.claim()?;
-        if let Some(tp) = self.engine.trace_plane() {
-            plane.set_trace_plane(tp);
-        }
-        self.fs.borrow_mut().set_watch_plane(Rc::clone(&plane));
-        self.engine.txn.borrow_mut().set_watch_plane(Rc::clone(&plane));
-        self.engine.set_watch_plane(plane);
-        Ok(())
+        self.observer().attach_watch(plane)
     }
 
     /// The attached watch plane, for polls and snapshots
     /// ([`WatchPlane::poll`], [`WatchPlane::snapshot`],
     /// [`WatchPlane::serialize`]). `None` when no plane is attached.
     pub fn watch(&self) -> Option<Rc<WatchPlane>> {
-        self.engine.watch_plane()
+        self.observer().watch().cloned()
     }
 
     /// The admission controller gating the install path (inspection,
@@ -340,14 +293,14 @@ impl Kernel {
     /// [`ProfilePlane::render_top`], [`ProfilePlane::snapshot`]).
     /// `None` when no plane is attached.
     pub fn profile(&self) -> Option<Rc<ProfilePlane>> {
-        self.engine.profile_plane()
+        self.observer().profile().cloned()
     }
 
     /// The attached metrics plane, for snapshots ([`MetricsPlane::snapshot`],
     /// [`MetricsPlane::expose`], [`MetricsPlane::health`]). `None` when
     /// no plane is attached.
     pub fn metrics(&self) -> Option<Rc<MetricsPlane>> {
-        self.engine.metrics_plane()
+        self.observer().metrics().cloned()
     }
 
     /// The persistent disk state as of this instant — what an immediate
@@ -385,7 +338,7 @@ impl Kernel {
     /// has aborted since the trace plane was attached. `None` when no
     /// plane is attached or every invocation committed cleanly.
     pub fn post_mortem(&self) -> Option<PostMortem> {
-        self.engine.trace_plane().and_then(|tp| tp.post_mortem())
+        self.observer().trace().and_then(|tp| tp.post_mortem())
     }
 
     /// The engine's reliability manager (failure ledgers, quarantine).
@@ -457,31 +410,17 @@ impl Kernel {
     /// alerts to consult and every install is admissible, so kernels
     /// that never attach one behave exactly as before.
     fn admission_gate(&self, installer: PrincipalId) -> Result<(), InstallError> {
-        let Some(wp) = self.engine.watch_plane() else { return Ok(()) };
+        let obs = self.observer();
+        let Some(wp) = obs.watch() else { return Ok(()) };
         let firing = wp.principal_firing(installer.0);
         let decision = self.admission.borrow_mut().decide(installer, firing, self.clock.now());
-        let tp = self.engine.trace_plane();
-        let mp = self.engine.metrics_plane();
         match decision {
             Decision::Allowed => {
-                if let Some(tp) = &tp {
-                    tp.emit(TraceEvent::AdmissionAllow { principal: installer.0 });
-                }
-                if let Some(mp) = &mp {
-                    mp.inc(Counter::AdmissionAllows);
-                }
+                obs.emit(TraceEvent::AdmissionAllow { principal: installer.0 });
                 Ok(())
             }
             Decision::Denied { until } => {
-                if let Some(tp) = &tp {
-                    tp.emit(TraceEvent::AdmissionDeny {
-                        principal: installer.0,
-                        until: until.get(),
-                    });
-                }
-                if let Some(mp) = &mp {
-                    mp.inc(Counter::AdmissionDenies);
-                }
+                obs.emit(TraceEvent::AdmissionDeny { principal: installer.0, until: until.get() });
                 Err(InstallError::AdmissionDenied { principal: installer, until })
             }
         }
@@ -952,6 +891,17 @@ mod tests {
         assert!(
             Rc::ptr_eq(&k.profile().expect("attached"), &pp),
             "Kernel::profile returns the attached plane"
+        );
+        let wp = WatchPlane::new(Rc::clone(&k.clock));
+        assert!(k.watch().is_none(), "no watch plane before attach");
+        k.attach_watch_plane(Rc::clone(&wp)).unwrap();
+        assert_eq!(
+            k.attach_watch_plane(WatchPlane::new(Rc::clone(&k.clock))).unwrap_err(),
+            AttachError::AlreadyAttached
+        );
+        assert!(
+            Rc::ptr_eq(&k.watch().expect("attached"), &wp),
+            "Kernel::watch returns the first attached plane"
         );
     }
 

@@ -23,8 +23,9 @@
 //! - [`lockmgr`] — the Figures 4/5 lock manager: the conventional
 //!   `get_lock` versus the policy-encapsulated one, for the
 //!   extreme-modularity cost analysis of §6.
-//! - [`kernel`] — the [`kernel::Kernel`] facade wiring every subsystem,
-//!   with install entry points and the event dispatch loop.
+//! - [`kernel`] — the [`kernel::Kernel`] facade building every
+//!   subsystem around one observer, with install entry points and the
+//!   event dispatch loop.
 //! - [`graftc`] — the GraftC compiler: the C-like language applications
 //!   write grafts in (standing in for the paper's C++), lowered to
 //!   GraftVM code that flows through the normal MiSFIT pipeline.

@@ -197,8 +197,11 @@ mod tests {
     use crate::hostfn;
 
     fn setup() -> (Rc<GraftEngine>, MisfitTool, PrincipalId) {
-        let engine = GraftEngine::new(VirtualClock::new());
-        let tool = MisfitTool::new(SigningKey::from_passphrase("loader-tests"));
+        let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
+        let tool = MisfitTool::new(
+            SigningKey::from_passphrase("loader-tests"),
+            vino_sim::Observer::new(vino_sim::VirtualClock::new()),
+        );
         let installer = engine
             .rm
             .borrow_mut()
@@ -236,7 +239,10 @@ mod tests {
         // "the kernel does not execute any grafts that are not known to
         // be safe" (Rule 6).
         let (engine, tool, installer) = setup();
-        let rogue = MisfitTool::new(SigningKey::from_passphrase("rogue"));
+        let rogue = MisfitTool::new(
+            SigningKey::from_passphrase("rogue"),
+            vino_sim::Observer::new(vino_sim::VirtualClock::new()),
+        );
         let prog = assemble("evil", "halt r0", &hostfn::symbols()).unwrap();
         let (image, _) = rogue.process(&prog).unwrap();
         let err =

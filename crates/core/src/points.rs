@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn event_dispatch_runs_in_order() {
-        let engine = GraftEngine::new(VirtualClock::new());
+        let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
         let mut ep = EventPoint::new();
         // Handlers record their order in kernel-state slots via the
         // accessor: slot = handler id, value = a counter they bump.
@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn handler_abort_does_not_stop_dispatch() {
-        let engine = GraftEngine::new(VirtualClock::new());
+        let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
         let mut ep = EventPoint::new();
         let bad = graft(&engine, "const r1, 0\nconst r2, 0\ndiv r0, r1, r2\nhalt r0");
         let good = graft(&engine, "const r1, 9\nconst r2, 1\ncall $kv_set\nhalt r0");

@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use vino_sim::trace::{TraceEvent, TracePlane};
+use vino_sim::obs::Observer;
 use vino_sim::Cycles;
 use vino_vm::interp::Trap;
 
@@ -135,12 +135,10 @@ pub enum Verdict {
 }
 
 /// The kernel-side reliability manager. One per [`crate::GraftEngine`].
-#[derive(Default)]
 pub struct ReliabilityManager {
     policy: QuarantinePolicy,
     ledgers: HashMap<String, GraftLedger>,
-    trace: Option<Rc<TracePlane>>,
-    metrics: Option<Rc<vino_sim::metrics::MetricsPlane>>,
+    obs: Rc<Observer>,
 }
 
 impl std::fmt::Debug for ReliabilityManager {
@@ -153,9 +151,12 @@ impl std::fmt::Debug for ReliabilityManager {
 }
 
 impl ReliabilityManager {
-    /// A manager with the default policy.
-    pub fn new() -> ReliabilityManager {
-        ReliabilityManager::default()
+    /// A manager with the default policy, reporting to `obs`:
+    /// quarantine trips emit `graft.quarantine`, bump the quarantine
+    /// counter and stamp the graft's health state with the release
+    /// deadline (see `docs/TRACING.md`, `docs/METRICS.md`).
+    pub fn new(obs: Rc<Observer>) -> ReliabilityManager {
+        ReliabilityManager { policy: QuarantinePolicy::default(), ledgers: HashMap::new(), obs }
     }
 
     /// The active policy.
@@ -167,19 +168,6 @@ impl ReliabilityManager {
     pub fn set_policy(&mut self, policy: QuarantinePolicy) {
         assert!(policy.threshold > 0, "a zero threshold would quarantine on install");
         self.policy = policy;
-    }
-
-    /// Wires a trace plane: quarantine trips emit `graft.quarantine`
-    /// events (see `docs/TRACING.md`).
-    pub fn set_trace_plane(&mut self, plane: Rc<TracePlane>) {
-        self.trace = Some(plane);
-    }
-
-    /// Wires a metrics plane: quarantine trips bump the quarantine
-    /// counter and stamp the graft's health state with the release
-    /// deadline (see `docs/METRICS.md`).
-    pub fn set_metrics_plane(&mut self, plane: Rc<vino_sim::metrics::MetricsPlane>) {
-        self.metrics = Some(plane);
     }
 
     /// Records one abort of `graft` at virtual time `now`, returning
@@ -209,13 +197,7 @@ impl ReliabilityManager {
         ledger.recent.clear();
         let until = now + backoff;
         ledger.quarantined_until = Some(until);
-        if let Some(tp) = &self.trace {
-            let tag = tp.tag(graft);
-            tp.emit(TraceEvent::GraftQuarantine { graft: tag, until: until.get() });
-        }
-        if let Some(mp) = &self.metrics {
-            mp.quarantine(graft, until);
-        }
+        self.obs.quarantine(graft, until);
         Verdict::Quarantined { until }
     }
 
@@ -279,7 +261,7 @@ mod tests {
     }
 
     fn mgr() -> ReliabilityManager {
-        let mut m = ReliabilityManager::new();
+        let mut m = ReliabilityManager::new(Observer::new(vino_sim::VirtualClock::new()));
         m.set_policy(policy());
         m
     }

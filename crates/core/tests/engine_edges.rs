@@ -15,7 +15,7 @@ use vino_vm::mem::{AddressSpace, Protection};
 const T: ThreadId = ThreadId(3);
 
 fn engine() -> Rc<GraftEngine> {
-    GraftEngine::new(VirtualClock::new())
+    GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()))
 }
 
 fn instance(e: &Rc<GraftEngine>, src: &str) -> GraftInstance {

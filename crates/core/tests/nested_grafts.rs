@@ -28,7 +28,7 @@ fn instance(engine: &Rc<GraftEngine>, name: &str, src: &str) -> GraftInstance {
 
 #[test]
 fn caller_invokes_callee_and_gets_result() {
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     // Callee: returns r1 + r2.
     let callee = share(instance(&engine, "adder", "add r0, r1, r2\nhalt r0"));
     let h = engine.register_subgraft(callee);
@@ -51,7 +51,7 @@ fn caller_invokes_callee_and_gets_result() {
 
 #[test]
 fn callee_abort_spares_the_caller() {
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     // Callee: mutates slot 5 then traps.
     let callee = share(instance(
         &engine,
@@ -100,7 +100,7 @@ fn callee_abort_spares_the_caller() {
 fn caller_abort_reverses_committed_callee_work() {
     // The nested-commit merge: the callee's undo records fold into the
     // caller's transaction, so a later caller abort reverses them too.
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     let callee =
         share(instance(&engine, "writer", "const r1, 9\nconst r2, 1\ncall $kv_set\nhalt r0"));
     let h = engine.register_subgraft(callee);
@@ -118,7 +118,7 @@ fn caller_abort_reverses_committed_callee_work() {
 
 #[test]
 fn unknown_handle_traps_caller() {
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     let mut caller = instance(&engine, "caller", "const r1, 999\ncall $call_graft\nhalt r0");
     match caller.invoke([0; 4]) {
         InvokeOutcome::Aborted { why, .. } => {
@@ -130,7 +130,7 @@ fn unknown_handle_traps_caller() {
 
 #[test]
 fn self_recursion_is_refused() {
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     // The graft calls itself through its own handle.
     let myself = share(instance(&engine, "ouroboros", "const r1, 0\ncall $call_graft\nhalt r0"));
     let h = engine.register_subgraft(Rc::clone(&myself));
@@ -148,7 +148,7 @@ fn self_recursion_is_refused() {
 fn nesting_depth_is_bounded() {
     // A chain of grafts each calling the next; past MAX_NEST_DEPTH the
     // kernel refuses.
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     // Build a chain of 12: graft i calls handle i+1; the last halts.
     let mut handles = Vec::new();
     let leaf = share(instance(&engine, "leaf", "const r0, 1\nhalt r0"));
@@ -178,9 +178,9 @@ fn nesting_depth_is_bounded() {
 #[test]
 fn post_mortem_empty_after_clean_commit() {
     use vino_sim::trace::TracePlane;
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     let tp = TracePlane::new(Rc::clone(&engine.clock));
-    engine.set_trace_plane(Rc::clone(&tp));
+    engine.obs.attach_trace(Rc::clone(&tp)).unwrap();
     let mut g = instance(&engine, "clean", "const r0, 7\nhalt r0");
     assert!(matches!(g.invoke([0; 4]), InvokeOutcome::Ok { result: 7, .. }));
     assert!(tp.post_mortem().is_none(), "clean commit leaves no post-mortem");
@@ -189,12 +189,9 @@ fn post_mortem_empty_after_clean_commit() {
 #[test]
 fn post_mortem_captures_nested_transaction_abort() {
     use vino_sim::trace::{AbortKind, TracePlane};
-    let engine = GraftEngine::new(VirtualClock::new());
+    let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
     let tp = TracePlane::new(Rc::clone(&engine.clock));
-    engine.set_trace_plane(Rc::clone(&tp));
-    // Engine-level test: wire the txn manager by hand (the kernel's
-    // attach_trace_plane does this when booting the full stack).
-    engine.txn.borrow_mut().set_trace_plane(Rc::clone(&tp));
+    engine.obs.attach_trace(Rc::clone(&tp)).unwrap();
     // Callee: one undoable kv write, then a trap — its nested wrapper
     // transaction aborts while the caller's survives.
     let callee = share(instance(

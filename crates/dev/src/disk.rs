@@ -13,9 +13,10 @@
 use std::rc::Rc;
 
 use vino_sim::costs;
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::metrics::{Counter, MetricsPlane};
-use vino_sim::{Cycles, SplitMix64, VirtualClock};
+use vino_sim::fault::FaultSite;
+use vino_sim::metrics::Counter;
+use vino_sim::obs::Observer;
+use vino_sim::{Cycles, SplitMix64};
 
 /// A logical block address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -78,7 +79,7 @@ pub struct DiskStats {
 /// cut, plus the geometry they were written under. Snapshot one with
 /// [`Disk::snapshot`] at the instant of a simulated crash and hand it to
 /// [`Disk::from_image`] to boot a fresh kernel over the surviving bytes.
-/// Volatile state — head position, stats, fault wiring — is *not* part
+/// Volatile state — head position, stats, the observer — is *not* part
 /// of the image, exactly as it would not survive real power loss.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DiskImage {
@@ -160,32 +161,36 @@ impl DiskImage {
 #[derive(Debug)]
 pub struct Disk {
     geometry: DiskGeometry,
-    clock: Rc<VirtualClock>,
+    obs: Rc<Observer>,
     blocks: Vec<Option<Box<[u8; 4096]>>>,
     head: u64,
     rng: SplitMix64,
     stats: DiskStats,
-    fault: Option<Rc<FaultPlane>>,
-    metrics: Option<Rc<MetricsPlane>>,
 }
 
 impl Disk {
     /// Creates a disk with the default (paper-calibrated) geometry.
-    pub fn new(clock: Rc<VirtualClock>) -> Disk {
-        Disk::with_geometry(clock, DiskGeometry::default())
+    pub fn new(obs: Rc<Observer>) -> Disk {
+        Disk::with_geometry(obs, DiskGeometry::default())
     }
 
-    /// Creates a disk with explicit geometry.
-    pub fn with_geometry(clock: Rc<VirtualClock>, geometry: DiskGeometry) -> Disk {
+    /// Creates a disk with explicit geometry, reporting to `obs`: every
+    /// access charges its mechanical latency to the observer's clock,
+    /// every operation counted in [`DiskStats`] also ticks its
+    /// `vino_disk_*` counter, and the fault sites are visited —
+    /// [`FaultSite::DiskRead`] and [`FaultSite::DiskWrite`] model
+    /// transient media errors the driver retries (the access is re-done
+    /// at full mechanical cost, so data still arrives but the caller
+    /// pays twice), [`FaultSite::DiskStall`] adds the fault plane's
+    /// stall latency on top of any access.
+    pub fn with_geometry(obs: Rc<Observer>, geometry: DiskGeometry) -> Disk {
         Disk {
             blocks: (0..geometry.blocks).map(|_| None).collect(),
             geometry,
-            clock,
+            obs,
             head: 0,
             rng: SplitMix64::new(0x5EED_D15C),
             stats: DiskStats::default(),
-            fault: None,
-            metrics: None,
         }
     }
 
@@ -197,7 +202,7 @@ impl Disk {
     /// disagrees with its declared geometry is refused with a typed
     /// [`DiskImageError`] rather than booting a drive that would panic
     /// on its first out-of-range access.
-    pub fn from_image(clock: Rc<VirtualClock>, image: DiskImage) -> Result<Disk, DiskImageError> {
+    pub fn from_image(obs: Rc<Observer>, image: DiskImage) -> Result<Disk, DiskImageError> {
         let expected = image.geometry.blocks;
         let got = image.blocks.len() as u64;
         if got < expected {
@@ -206,7 +211,7 @@ impl Disk {
         if got > expected {
             return Err(DiskImageError::Oversized { expected, got });
         }
-        let mut d = Disk::with_geometry(clock, image.geometry);
+        let mut d = Disk::with_geometry(obs, image.geometry);
         d.blocks = image.blocks;
         Ok(d)
     }
@@ -228,26 +233,13 @@ impl Disk {
         self.rng = SplitMix64::new(0x5EED_D15C);
     }
 
-    /// Attaches a fault plane. [`FaultSite::DiskRead`] and
-    /// [`FaultSite::DiskWrite`] model transient media errors the driver
-    /// retries — the access is re-done at full mechanical cost, so data
-    /// still arrives but the caller pays twice. [`FaultSite::DiskStall`]
-    /// adds the plane's stall latency on top of any access.
-    pub fn set_fault_plane(&mut self, plane: Rc<FaultPlane>) {
-        self.fault = Some(plane);
-    }
-
-    /// Attaches a metrics plane: every operation counted in
-    /// [`DiskStats`] also ticks its `vino_disk_*` counter, so the
-    /// device shows up in the exposition and health snapshot.
-    pub fn set_metrics_plane(&mut self, plane: Rc<MetricsPlane>) {
-        self.metrics = Some(plane);
+    /// The observer this drive reports to.
+    pub fn observer(&self) -> &Rc<Observer> {
+        &self.obs
     }
 
     fn metric(&self, c: Counter) {
-        if let Some(m) = &self.metrics {
-            m.inc(c);
-        }
+        self.obs.inc(c);
     }
 
     /// The geometry in use.
@@ -274,7 +266,7 @@ impl Disk {
     /// misbehaviour — grafts cannot address the disk directly).
     pub fn read(&mut self, addr: BlockAddr) -> [u8; 4096] {
         let (data, cost) = self.read_with_cost(addr);
-        self.clock.charge(cost);
+        self.obs.clock().charge(cost);
         data
     }
 
@@ -302,11 +294,11 @@ impl Disk {
     pub fn write(&mut self, addr: BlockAddr, data: &[u8; 4096]) {
         let mut cost = self.access_cost(addr);
         cost += self.fault_overhead(FaultSite::DiskWrite, cost);
-        self.clock.charge(cost);
+        self.obs.clock().charge(cost);
         self.stats.writes += 1;
         self.metric(Counter::DiskWrites);
         self.stats.busy += cost;
-        let torn = match &self.fault {
+        let torn = match self.obs.fault() {
             Some(plane) if plane.fire(FaultSite::DiskTornWrite) => Some(plane.torn_prefix()),
             _ => None,
         };
@@ -322,7 +314,7 @@ impl Disk {
     /// crash-injection path; normal clients never call this.
     pub fn write_torn(&mut self, addr: BlockAddr, data: &[u8; 4096], prefix: usize) {
         let cost = self.access_cost(addr);
-        self.clock.charge(cost);
+        self.obs.clock().charge(cost);
         self.stats.writes += 1;
         self.metric(Counter::DiskWrites);
         self.stats.busy += cost;
@@ -352,7 +344,7 @@ impl Disk {
     /// mechanical cost is `base`. Media errors cost one full retry;
     /// stalls cost the plane's configured stall latency.
     fn fault_overhead(&mut self, site: FaultSite, base: Cycles) -> Cycles {
-        let Some(plane) = &self.fault else {
+        let Some(plane) = self.obs.fault() else {
             return Cycles(0);
         };
         let mut extra = Cycles(0);
@@ -405,7 +397,7 @@ mod tests {
     use super::*;
 
     fn disk() -> Disk {
-        Disk::new(VirtualClock::new())
+        Disk::new(Observer::new(vino_sim::VirtualClock::new()))
     }
 
     #[test]
@@ -428,7 +420,7 @@ mod tests {
     fn sequential_reads_skip_seek() {
         let mut d = disk();
         d.read(BlockAddr(10)); // Position the head.
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs.clock());
         let t0 = clock.now();
         d.read(BlockAddr(11));
         let seq_cost = clock.since(t0);
@@ -441,7 +433,7 @@ mod tests {
         // The premise of the read-ahead analysis: a random 4KB read
         // costs on the order of 10-20ms (the paper's 18ms page fault).
         let mut d = disk();
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs.clock());
         let mut rng = SplitMix64::new(7);
         let n = 200;
         let t0 = clock.now();
@@ -458,7 +450,7 @@ mod tests {
     #[test]
     fn random_costs_dwarf_sequential() {
         let mut d = disk();
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs.clock());
         d.read(BlockAddr(0));
         let t0 = clock.now();
         for i in 1..=50 {
@@ -500,11 +492,11 @@ mod tests {
     fn injected_read_error_doubles_cost_and_counts() {
         use vino_sim::fault::{FaultPlane, FaultSite};
         let mut d = disk();
-        let clock = Rc::clone(&d.clock);
+        let clock = Rc::clone(d.obs.clock());
         d.read(BlockAddr(10)); // Position the head for sequential reads.
         let plane = FaultPlane::seeded(1);
         plane.arm(FaultSite::DiskRead, 1);
-        d.set_fault_plane(plane);
+        d.obs.attach_fault(plane).unwrap();
         let t0 = clock.now();
         d.read(BlockAddr(11)); // Faulted: transfer + one retry.
         let faulted = clock.since(t0);
@@ -524,7 +516,7 @@ mod tests {
         let plane = FaultPlane::seeded(2);
         plane.set_stall(Cycles::from_ms(7));
         plane.arm(FaultSite::DiskStall, 1);
-        d.set_fault_plane(Rc::clone(&plane));
+        d.obs.attach_fault(Rc::clone(&plane)).unwrap();
         d.read(BlockAddr(5)); // Seek back — stall fires on top.
         assert_eq!(d.stats().stalls, 1);
         assert!(d.stats().busy >= Cycles::from_ms(7), "stall latency accounted");
@@ -535,7 +527,7 @@ mod tests {
         let mut d = disk();
         d.write(BlockAddr(7), &[0xAB; 4096]);
         let image = d.snapshot();
-        let mut d2 = Disk::from_image(VirtualClock::new(), image).unwrap();
+        let mut d2 = Disk::from_image(Observer::new(vino_sim::VirtualClock::new()), image).unwrap();
         assert_eq!(d2.read(BlockAddr(7)), [0xAB; 4096]);
     }
 
@@ -545,12 +537,12 @@ mod tests {
         let blocks = d.block_count();
         let short = d.snapshot().with_forged_block_count(blocks - 1);
         assert_eq!(
-            Disk::from_image(VirtualClock::new(), short).unwrap_err(),
+            Disk::from_image(Observer::new(vino_sim::VirtualClock::new()), short).unwrap_err(),
             DiskImageError::Truncated { expected: blocks, got: blocks - 1 }
         );
         let long = d.snapshot().with_forged_block_count(blocks + 8);
         assert_eq!(
-            Disk::from_image(VirtualClock::new(), long).unwrap_err(),
+            Disk::from_image(Observer::new(vino_sim::VirtualClock::new()), long).unwrap_err(),
             DiskImageError::Oversized { expected: blocks, got: blocks + 8 }
         );
     }
@@ -562,7 +554,7 @@ mod tests {
             let mut d = disk();
             let plane = FaultPlane::seeded(seed);
             plane.set_rate(FaultSite::DiskWrite, 1, 3);
-            d.set_fault_plane(plane);
+            d.obs.attach_fault(plane).unwrap();
             for i in 0..200 {
                 d.write(BlockAddr(i), &[0; 4096]);
             }

@@ -8,7 +8,7 @@
 //! drains it.
 //!
 //! Overload is observable: the device keeps global and per-port drop
-//! tallies, and when a [`MetricsPlane`] is attached it mirrors
+//! tallies, and when a [`vino_sim::MetricsPlane`] is attached it mirrors
 //! delivered/dropped into [`Counter::NicDelivered`] /
 //! [`Counter::NicDropped`] so a health snapshot shows device-level loss
 //! next to the packet plane's own shedding.
@@ -16,7 +16,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use vino_sim::metrics::{Counter, MetricsPlane};
+use vino_sim::metrics::Counter;
+use vino_sim::obs::Observer;
 
 /// A TCP or UDP port number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -57,7 +58,7 @@ impl NetEvent {
 }
 
 /// The simulated NIC: a FIFO of arrived events.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Nic {
     queue: VecDeque<NetEvent>,
     next_fd: u32,
@@ -65,26 +66,30 @@ pub struct Nic {
     dropped: u64,
     dropped_by_port: BTreeMap<Port, u64>,
     capacity: usize,
-    metrics: Option<Rc<MetricsPlane>>,
+    obs: Rc<Observer>,
 }
 
 impl Nic {
-    /// Creates a NIC with the default receive-queue capacity.
-    pub fn new() -> Nic {
-        Nic { capacity: 1024, next_fd: FIRST_CONN_FD, ..Nic::default() }
-    }
-
-    /// Attaches the metrics plane; delivered/dropped events are mirrored
-    /// into [`Counter::NicDelivered`] / [`Counter::NicDropped`] from now
-    /// on.
-    pub fn set_metrics_plane(&mut self, mp: Rc<MetricsPlane>) {
-        self.metrics = Some(mp);
+    /// Creates a NIC with the default receive-queue capacity, reporting
+    /// to `obs`: delivered/dropped events are mirrored into
+    /// [`Counter::NicDelivered`] / [`Counter::NicDropped`] (and drops
+    /// into the per-port drop table).
+    pub fn new(obs: Rc<Observer>) -> Nic {
+        Nic {
+            queue: VecDeque::new(),
+            next_fd: FIRST_CONN_FD,
+            delivered: 0,
+            dropped: 0,
+            dropped_by_port: BTreeMap::new(),
+            capacity: 1024,
+            obs,
+        }
     }
 
     fn drop_event(&mut self, port: Port) {
         self.dropped += 1;
         *self.dropped_by_port.entry(port).or_insert(0) += 1;
-        if let Some(mp) = &self.metrics {
+        if let Some(mp) = self.obs.metrics() {
             mp.inc(Counter::NicDropped);
             mp.observe_nic_port_drop(port.0);
         }
@@ -123,9 +128,7 @@ impl Nic {
         let e = self.queue.pop_front();
         if e.is_some() {
             self.delivered += 1;
-            if let Some(mp) = &self.metrics {
-                mp.inc(Counter::NicDelivered);
-            }
+            self.obs.inc(Counter::NicDelivered);
         }
         e
     }
@@ -161,9 +164,13 @@ mod tests {
     use super::*;
     use vino_sim::VirtualClock;
 
+    fn nic() -> Nic {
+        Nic::new(Observer::new(VirtualClock::new()))
+    }
+
     #[test]
     fn fifo_delivery() {
-        let mut n = Nic::new();
+        let mut n = nic();
         let fd1 = n.inject_tcp_connect(Port(80)).unwrap();
         n.inject_udp(Port(2049), vec![1, 2, 3]);
         let fd2 = n.inject_tcp_connect(Port(80)).unwrap();
@@ -187,7 +194,7 @@ mod tests {
 
     #[test]
     fn overflow_drops() {
-        let mut n = Nic::new();
+        let mut n = nic();
         let mut accepted = 0;
         for _ in 0..2000 {
             if n.inject_udp(Port(9), vec![]) {
@@ -201,7 +208,7 @@ mod tests {
 
     #[test]
     fn drops_are_accounted_per_port() {
-        let mut n = Nic::new();
+        let mut n = nic();
         for _ in 0..1024 {
             assert!(n.inject_udp(Port(9), vec![]));
         }
@@ -221,7 +228,7 @@ mod tests {
 
     #[test]
     fn conn_fd_allocation_wraps_instead_of_overflowing() {
-        let mut n = Nic::new();
+        let mut n = nic();
         n.next_fd = u32::MAX;
         let last = n.inject_tcp_connect(Port(80)).unwrap();
         assert_eq!(last, u32::MAX);
@@ -231,9 +238,9 @@ mod tests {
 
     #[test]
     fn metrics_plane_sees_delivered_and_dropped() {
-        let mp = MetricsPlane::new(VirtualClock::new());
-        let mut n = Nic::new();
-        n.set_metrics_plane(Rc::clone(&mp));
+        let mp = vino_sim::MetricsPlane::new(VirtualClock::new());
+        let mut n = nic();
+        n.obs.attach_metrics(Rc::clone(&mp)).unwrap();
         for _ in 0..1025 {
             n.inject_udp(Port(9), vec![]);
         }

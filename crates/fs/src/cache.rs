@@ -237,7 +237,7 @@ mod tests {
     fn setup(cap: usize) -> (BufferCache, Disk, Rc<VirtualClock>) {
         let clock = VirtualClock::new();
         let cache = BufferCache::new(Rc::clone(&clock), cap);
-        let disk = Disk::new(Rc::clone(&clock));
+        let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
         (cache, disk, clock)
     }
 

@@ -11,9 +11,12 @@ use std::fmt;
 use std::rc::Rc;
 
 use vino_dev::disk::{BlockAddr, Disk, DiskImage};
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::trace::SpanId;
-use vino_sim::{Cycles, VirtualClock};
+use vino_sim::fault::FaultSite;
+use vino_sim::metrics::Component;
+use vino_sim::obs::Observer;
+use vino_sim::profile::SpanKind;
+use vino_sim::trace::{SpanId, TraceEvent};
+use vino_sim::Cycles;
 
 use crate::cache::BufferCache;
 use crate::layout::{
@@ -185,15 +188,6 @@ pub enum IngestOutcome {
     },
 }
 
-/// A recovery action noted before observability planes were attached,
-/// replayed into them at attach time (recovery runs at mount, which
-/// precedes plane wiring in the kernel boot sequence).
-#[derive(Debug, Clone, Copy)]
-enum RecoveryNote {
-    Replay { seq: u64, blocks: u64 },
-    Discard { seq: u64 },
-}
-
 /// Bound on a per-file prefetch queue: "if a graft of the compute-ra
 /// function asks for 100MB to be prefetched, it will not steal all of
 /// the system's memory pages. Instead, the 100MB will be prefetched in
@@ -203,7 +197,7 @@ pub const MAX_PREFETCH_QUEUE: usize = 4096;
 
 /// The mounted file system.
 pub struct FileSystem {
-    clock: Rc<VirtualClock>,
+    obs: Rc<Observer>,
     disk: Disk,
     cache: BufferCache,
     sb: SuperBlock,
@@ -212,11 +206,6 @@ pub struct FileSystem {
     open: HashMap<Fd, OpenFile>,
     next_fd: u64,
     stats: FsStats,
-    trace: Option<Rc<vino_sim::trace::TracePlane>>,
-    metrics: Option<Rc<vino_sim::metrics::MetricsPlane>>,
-    profile: Option<Rc<vino_sim::profile::ProfilePlane>>,
-    watch: Option<Rc<vino_sim::watch::WatchPlane>>,
-    fault: Option<Rc<FaultPlane>>,
     /// Power died: every subsequent operation fails with
     /// [`FsError::PowerFailure`].
     halted: bool,
@@ -235,20 +224,21 @@ pub struct FileSystem {
     seal_spans: BTreeMap<u64, (SpanId, Cycles)>,
     /// What mount-time recovery found on this volume.
     recovery: Option<RecoveryReport>,
-    /// Recovery actions awaiting a trace / metrics plane.
-    pending_trace: Vec<RecoveryNote>,
-    pending_metrics: Vec<RecoveryNote>,
 }
 
 impl FileSystem {
     /// Formats `disk` and mounts the fresh volume. `cache_blocks` sizes
     /// the buffer cache; `max_files` sizes the inode table.
-    pub fn format(
-        clock: Rc<VirtualClock>,
-        mut disk: Disk,
-        cache_blocks: usize,
-        max_files: u32,
-    ) -> FileSystem {
+    ///
+    /// The file system reports to its disk's observer: served
+    /// reads/writes, issued prefetches and journal/checkpoint/recovery
+    /// steps emit `fs.*` events with their counter twins, the
+    /// `compute-ra` dispatch indirection is charged to the invocation
+    /// it produces (and recorded as an `fs-dispatch` span), every
+    /// journal append feeds the watch plane's journal-occupancy gauge,
+    /// and the commit pipeline's crash points visit the `KernelCrash*`
+    /// fault sites (see `docs/RECOVERY.md`).
+    pub fn format(mut disk: Disk, cache_blocks: usize, max_files: u32) -> FileSystem {
         let sb = SuperBlock::for_volume(disk.block_count() as u32, max_files);
         disk.write(BlockAddr(0), &sb.encode());
         let zero = [0u8; BLOCK_SIZE];
@@ -256,9 +246,10 @@ impl FileSystem {
             disk.write(BlockAddr(b as u64), &zero);
         }
         let data_blocks = sb.total_blocks - sb.data_start;
+        let obs = Rc::clone(disk.observer());
         FileSystem {
-            cache: BufferCache::new(Rc::clone(&clock), cache_blocks),
-            clock,
+            cache: BufferCache::new(Rc::clone(obs.clock()), cache_blocks),
+            obs,
             disk,
             inodes: vec![Inode::default(); sb.max_inodes() as usize],
             bitmap: Bitmap::new(data_blocks),
@@ -266,35 +257,28 @@ impl FileSystem {
             open: HashMap::new(),
             next_fd: 3,
             stats: FsStats::default(),
-            trace: None,
-            metrics: None,
-            profile: None,
-            watch: None,
-            fault: None,
             halted: false,
             next_seq: 1,
             committed: Vec::new(),
             last_committed: 0,
             seal_spans: BTreeMap::new(),
             recovery: None,
-            pending_trace: Vec::new(),
-            pending_metrics: Vec::new(),
         }
     }
 
     /// Mounts an existing volume: runs journal recovery
     /// ([`FileSystem::recover`]) over the raw disk, then rebuilds
-    /// in-memory metadata from the recovered blocks.
-    pub fn mount(
-        clock: Rc<VirtualClock>,
-        mut disk: Disk,
-        cache_blocks: usize,
-    ) -> Result<FileSystem, FsError> {
+    /// in-memory metadata from the recovered blocks. Recovery runs
+    /// before any plane can be attached, so its `fs.recovery_*` events
+    /// are held by the observer until the trace and metrics planes
+    /// attach.
+    pub fn mount(mut disk: Disk, cache_blocks: usize) -> Result<FileSystem, FsError> {
         let sb = SuperBlock::decode(&disk.read(BlockAddr(0))).ok_or(FsError::BadVolume)?;
         let data_blocks = sb.total_blocks - sb.data_start;
+        let obs = Rc::clone(disk.observer());
         let mut fs = FileSystem {
-            cache: BufferCache::new(Rc::clone(&clock), cache_blocks),
-            clock,
+            cache: BufferCache::new(Rc::clone(obs.clock()), cache_blocks),
+            obs,
             disk,
             inodes: Vec::new(),
             bitmap: Bitmap::new(data_blocks),
@@ -302,19 +286,12 @@ impl FileSystem {
             open: HashMap::new(),
             next_fd: 3,
             stats: FsStats::default(),
-            trace: None,
-            metrics: None,
-            profile: None,
-            watch: None,
-            fault: None,
             halted: false,
             next_seq: 1,
             committed: Vec::new(),
             last_committed: 0,
             seal_spans: BTreeMap::new(),
             recovery: None,
-            pending_trace: Vec::new(),
-            pending_metrics: Vec::new(),
         };
         fs.recover();
         Ok(fs)
@@ -388,7 +365,7 @@ impl FileSystem {
         report.replayed_txns += 1;
         report.replayed_blocks += n as u64;
         self.retain_committed(JournalRecord { seq, entries: desc.entries.clone(), payloads });
-        self.note_recovery(RecoveryNote::Replay { seq, blocks: n as u64 });
+        self.obs.emit_or_hold(TraceEvent::FsRecoveryReplay { seq, blocks: n as u64 });
         report
     }
 
@@ -397,20 +374,7 @@ impl FileSystem {
     fn discard_tail(&mut self, seq: u64, report: &mut RecoveryReport) {
         self.disk.write(BlockAddr(self.sb.journal_start as u64), &[0u8; BLOCK_SIZE]);
         report.discarded_txns += 1;
-        self.note_recovery(RecoveryNote::Discard { seq });
-    }
-
-    /// Emits a recovery action to the attached planes, or parks it for
-    /// attach-time flushing (recovery runs before planes are wired).
-    fn note_recovery(&mut self, note: RecoveryNote) {
-        match &self.trace {
-            Some(tp) => tp.emit(recovery_trace_event(note)),
-            None => self.pending_trace.push(note),
-        }
-        match &self.metrics {
-            Some(mp) => mp.inc(recovery_counter(note)),
-            None => self.pending_metrics.push(note),
-        }
+        self.obs.emit_or_hold(TraceEvent::FsRecoveryDiscard { seq });
     }
 
     /// Rebuilds in-memory inode table and allocation bitmap from disk.
@@ -450,9 +414,6 @@ impl FileSystem {
         self.disk.stats()
     }
 
-    /// Attaches a fault plane to the underlying disk (injected media
-    /// errors, stalls and torn writes) and to the file system's own
-    /// crash points (the `KernelCrash*` site family; see
     /// Payload blocks one journal transaction can carry. Writes wider
     /// than this split into multiple transactions — each atomic on its
     /// own, so a crash between chunks leaves a clean prefix durable
@@ -461,63 +422,9 @@ impl FileSystem {
         self.sb.journal_capacity()
     }
 
-    /// `vino_sim::fault` and `docs/RECOVERY.md`).
-    pub fn set_fault_plane(&mut self, plane: Rc<vino_sim::fault::FaultPlane>) {
-        self.disk.set_fault_plane(Rc::clone(&plane));
-        self.fault = Some(plane);
-    }
-
-    /// Wires a trace plane: served reads/writes, issued prefetches and
-    /// journal/checkpoint/recovery steps emit `fs.*` events (see
-    /// `docs/TRACING.md`). Recovery actions from mount (which precedes
-    /// plane wiring) are flushed retroactively here.
-    pub fn set_trace_plane(&mut self, plane: Rc<vino_sim::trace::TracePlane>) {
-        for note in self.pending_trace.drain(..) {
-            plane.emit(recovery_trace_event(note));
-        }
-        self.trace = Some(plane);
-    }
-
-    /// Wires a metrics plane: reads/writes/prefetches and
-    /// journal/recovery steps bump their counters, the underlying disk
-    /// ticks its `vino_disk_*` series, and the `compute-ra` dispatch
-    /// indirection cost is attributed to the graft it dispatches (see
-    /// `docs/METRICS.md`). Recovery actions from mount are flushed
-    /// retroactively here.
-    pub fn set_metrics_plane(&mut self, plane: Rc<vino_sim::metrics::MetricsPlane>) {
-        for note in self.pending_metrics.drain(..) {
-            plane.inc(recovery_counter(note));
-        }
-        self.disk.set_metrics_plane(Rc::clone(&plane));
-        self.metrics = Some(plane);
-    }
-
-    /// Wires a profile plane: the `compute-ra` dispatch indirection is
-    /// charged to the invocation it produces and recorded as an
-    /// `fs-dispatch` span in its span tree (see `docs/PROFILING.md`).
-    pub fn set_profile_plane(&mut self, plane: Rc<vino_sim::profile::ProfilePlane>) {
-        self.profile = Some(plane);
-    }
-
-    /// Wires a watch plane: every journal append feeds the
-    /// journal-occupancy gauge (blocks the transaction left in the
-    /// journal region, against its capacity), so the `journal-full`
-    /// SLO rule sees pressure the moment it builds (see
-    /// `docs/WATCH.md`).
-    pub fn set_watch_plane(&mut self, plane: Rc<vino_sim::watch::WatchPlane>) {
-        self.watch = Some(plane);
-    }
-
-    fn emit(&self, ev: vino_sim::trace::TraceEvent) {
-        if let Some(tp) = &self.trace {
-            tp.emit(ev);
-        }
-    }
-
-    fn minc(&self, c: vino_sim::metrics::Counter) {
-        if let Some(mp) = &self.metrics {
-            mp.inc(c);
-        }
+    /// The observer this file system (and its disk) reports to.
+    pub fn observer(&self) -> &Rc<Observer> {
+        &self.obs
     }
 
     /// Whether power has died on this instance.
@@ -580,11 +487,9 @@ impl FileSystem {
     /// crash site fires, the kernel is dead — mark the instance halted
     /// and fail the operation. Nothing after this point executes.
     fn crash_point(&mut self, site: FaultSite) -> Result<(), FsError> {
-        if let Some(p) = &self.fault {
-            if p.fire(site) {
-                self.halted = true;
-                return Err(FsError::PowerFailure);
-            }
+        if self.obs.fire(site) {
+            self.halted = true;
+            return Err(FsError::PowerFailure);
         }
         Ok(())
     }
@@ -593,7 +498,7 @@ impl FileSystem {
     /// if it fires, the block persists only as a torn prefix and power
     /// dies with it.
     fn journal_write(&mut self, addr: BlockAddr, data: &[u8; BLOCK_SIZE]) -> Result<(), FsError> {
-        if let Some(p) = self.fault.clone() {
+        if let Some(p) = self.obs.fault() {
             if p.fire(FaultSite::KernelCrashMidJournal) {
                 self.disk.write_torn(addr, data, p.torn_prefix());
                 self.halted = true;
@@ -654,9 +559,8 @@ impl FileSystem {
             self.journal_write(BlockAddr(js + 1 + i as u64), data)?;
         }
         let n = chunk.len() as u64;
-        self.emit(vino_sim::trace::TraceEvent::FsJournalAppend { seq, blocks: n });
-        self.minc(vino_sim::metrics::Counter::FsJournalAppends);
-        if let Some(wp) = &self.watch {
+        self.obs.emit(TraceEvent::FsJournalAppend { seq, blocks: n });
+        if let Some(wp) = self.obs.watch() {
             // Occupancy while this transaction sits in the journal
             // region: descriptor + payload blocks + commit marker.
             wp.observe_journal(n + 2, cap as u64 + 2);
@@ -669,15 +573,14 @@ impl FileSystem {
         // The seal is an event origin: mint the record's causal span
         // (child of whatever invocation context is in force) and keep
         // it with the commit stamp so replication chains off it.
-        let seal_ctx = self.trace.as_ref().map(|tp| {
-            let ctx = tp.mint_span(tp.ctx().span);
-            tp.emit_with_ctx(vino_sim::trace::TraceEvent::FsJournalCommit { seq }, ctx);
-            ctx
-        });
-        if let Some(ctx) = seal_ctx {
-            self.seal_spans.insert(seq, (ctx.span, self.clock.now()));
+        let seal_ctx = self.obs.trace().map(|tp| tp.mint_span(tp.ctx().span));
+        match seal_ctx {
+            Some(ctx) => {
+                self.obs.emit_with_ctx(TraceEvent::FsJournalCommit { seq }, ctx);
+                self.seal_spans.insert(seq, (ctx.span, self.obs.clock().now()));
+            }
+            None => self.obs.emit(TraceEvent::FsJournalCommit { seq }),
         }
-        self.minc(vino_sim::metrics::Counter::FsJournalCommits);
         // Commit is durable: retain the record for replication shipping
         // before any later crash point can interrupt the checkpoint.
         self.retain_committed(JournalRecord {
@@ -696,12 +599,11 @@ impl FileSystem {
             }
         }
         // The checkpoint belongs to the same causal story as its seal.
-        if let (Some(tp), Some(ctx)) = (&self.trace, seal_ctx) {
-            tp.emit_with_ctx(vino_sim::trace::TraceEvent::FsCheckpoint { seq, blocks: n }, ctx);
-        } else {
-            self.emit(vino_sim::trace::TraceEvent::FsCheckpoint { seq, blocks: n });
+        let checkpoint = TraceEvent::FsCheckpoint { seq, blocks: n };
+        match seal_ctx {
+            Some(ctx) => self.obs.emit_with_ctx(checkpoint, ctx),
+            None => self.obs.emit(checkpoint),
         }
-        self.minc(vino_sim::metrics::Counter::FsCheckpoints);
         Ok(())
     }
 
@@ -982,8 +884,7 @@ impl FileSystem {
             return Err(FsError::PastEof);
         }
         self.stats.reads += 1;
-        self.minc(vino_sim::metrics::Counter::FsReads);
-        self.emit(vino_sim::trace::TraceEvent::FsRead { fd: fd.0, len });
+        self.obs.emit(TraceEvent::FsRead { fd: fd.0, len });
         // Read the covered blocks through the cache.
         let mut out = Vec::with_capacity(len as usize);
         let first = (offset / BLOCK_SIZE as u64) as u32;
@@ -1002,25 +903,17 @@ impl FileSystem {
         // compute-ra: default or grafted (§4.1.2).
         let req = RaRequest { offset, len, sequential, file_size: size };
         let extents = {
-            let metrics = self.metrics.clone();
-            let profile = self.profile.clone();
             let f = self.open.get_mut(&fd).expect("checked");
             f.last_end = Some(offset + len);
             match f.ra.as_mut() {
                 Some(graft) => {
                     self.stats.ra_graft_calls += 1;
                     // Dispatch indirection to the grafted method; the
-                    // metrics plane attributes it to the invocation the
+                    // ledgers attribute it to the invocation the
                     // dispatch produces.
                     let cost = Cycles(vino_sim::costs::INDIRECTION_CYCLES);
-                    self.clock.charge(cost);
-                    if let Some(mp) = &metrics {
-                        mp.charge(vino_sim::metrics::Component::Indirection, cost);
-                    }
-                    if let Some(pp) = &profile {
-                        pp.charge(vino_sim::metrics::Component::Indirection, cost);
-                        pp.mark(vino_sim::profile::SpanKind::FsDispatch, cost);
-                    }
+                    self.obs.charge(Component::Indirection, cost);
+                    self.obs.mark(SpanKind::FsDispatch, cost);
                     graft.compute_ra(&req)
                 }
                 None => default_compute_ra(&req),
@@ -1045,8 +938,7 @@ impl FileSystem {
             return Err(FsError::PastEof);
         }
         self.stats.writes += 1;
-        self.minc(vino_sim::metrics::Counter::FsWrites);
-        self.emit(vino_sim::trace::TraceEvent::FsWrite { fd: fd.0, len: data.len() as u64 });
+        self.obs.emit(TraceEvent::FsWrite { fd: fd.0, len: data.len() as u64 });
         let mut targets = Vec::new();
         let mut pos = 0usize;
         while pos < data.len() {
@@ -1110,8 +1002,7 @@ impl FileSystem {
             match self.cache.prefetch(&mut self.disk, BlockAddr(abs as u64)) {
                 PrefetchOutcome::Issued => {
                     self.stats.prefetches_issued += 1;
-                    self.minc(vino_sim::metrics::Counter::FsPrefetches);
-                    self.emit(vino_sim::trace::TraceEvent::FsPrefetch { fd: fd.0 });
+                    self.obs.emit(TraceEvent::FsPrefetch { fd: fd.0 });
                 }
                 PrefetchOutcome::AlreadyCached => {}
                 PrefetchOutcome::NoRoom => {
@@ -1146,22 +1037,6 @@ impl FileSystem {
     }
 }
 
-fn recovery_trace_event(note: RecoveryNote) -> vino_sim::trace::TraceEvent {
-    match note {
-        RecoveryNote::Replay { seq, blocks } => {
-            vino_sim::trace::TraceEvent::FsRecoveryReplay { seq, blocks }
-        }
-        RecoveryNote::Discard { seq } => vino_sim::trace::TraceEvent::FsRecoveryDiscard { seq },
-    }
-}
-
-fn recovery_counter(note: RecoveryNote) -> vino_sim::metrics::Counter {
-    match note {
-        RecoveryNote::Replay { .. } => vino_sim::metrics::Counter::FsRecoveryReplays,
-        RecoveryNote::Discard { .. } => vino_sim::metrics::Counter::FsRecoveryDiscards,
-    }
-}
-
 impl fmt::Debug for FileSystem {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FileSystem")
@@ -1190,11 +1065,13 @@ pub fn default_compute_ra(req: &RaRequest) -> Vec<Extent> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vino_sim::fault::FaultPlane;
+    use vino_sim::VirtualClock;
 
     fn fresh(cache_blocks: usize) -> FileSystem {
         let clock = VirtualClock::new();
-        let disk = Disk::new(Rc::clone(&clock));
-        FileSystem::format(clock, disk, cache_blocks, 64)
+        let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+        FileSystem::format(disk, cache_blocks, 64)
     }
 
     #[test]
@@ -1238,10 +1115,10 @@ mod tests {
     fn no_space_reported() {
         let clock = VirtualClock::new();
         let disk = Disk::with_geometry(
-            Rc::clone(&clock),
+            vino_sim::Observer::new(Rc::clone(&clock)),
             vino_dev::disk::DiskGeometry { blocks: 64, ..Default::default() },
         );
-        let mut fs = FileSystem::format(clock, disk, 4, 16);
+        let mut fs = FileSystem::format(disk, 4, 16);
         assert!(matches!(fs.create("big", 10 * 1024 * 1024), Err(FsError::NoSpace)));
     }
 
@@ -1259,14 +1136,14 @@ mod tests {
     #[test]
     fn mount_round_trip() {
         let clock = VirtualClock::new();
-        let disk = Disk::new(Rc::clone(&clock));
-        let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
+        let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+        let mut fs = FileSystem::format(disk, 8, 64);
         fs.create("persist", 2 * BLOCK_SIZE as u64).unwrap();
         let fd = fs.open("persist").unwrap();
         fs.write(fd, 0, b"durable bytes").unwrap();
         // Re-mount on the same disk (move it out).
         let FileSystem { disk, .. } = fs;
-        let mut fs2 = FileSystem::mount(Rc::clone(&clock), disk, 8).unwrap();
+        let mut fs2 = FileSystem::mount(disk, 8).unwrap();
         assert_eq!(fs2.list(), vec!["persist"]);
         let fd2 = fs2.open("persist").unwrap();
         assert_eq!(fs2.read(fd2, 0, 13).unwrap(), b"durable bytes");
@@ -1275,8 +1152,8 @@ mod tests {
     #[test]
     fn mount_rejects_unformatted() {
         let clock = VirtualClock::new();
-        let disk = Disk::new(Rc::clone(&clock));
-        assert!(matches!(FileSystem::mount(clock, disk, 8), Err(FsError::BadVolume)));
+        let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+        assert!(matches!(FileSystem::mount(disk, 8), Err(FsError::BadVolume)));
     }
 
     #[test]
@@ -1314,7 +1191,7 @@ mod tests {
         assert_eq!(fs.stats().ra_graft_calls, 1);
         assert_eq!(fs.stats().prefetches_issued, 1);
         // Wait out the I/O, then the random read is a hit.
-        fs.clock.charge(Cycles::from_ms(50));
+        fs.obs.clock().charge(Cycles::from_ms(50));
         let misses0 = fs.cache_stats().misses;
         fs.read(fd, 20 * BLOCK_SIZE as u64, 4096).unwrap();
         assert_eq!(fs.cache_stats().misses, misses0, "prefetched block must hit");
@@ -1408,23 +1285,23 @@ mod tests {
     /// its recovery report.
     fn crash_during_write(site: FaultSite) -> (FileSystem, RecoveryReport) {
         let clock = VirtualClock::new();
-        let disk = Disk::new(Rc::clone(&clock));
-        let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
+        let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+        let mut fs = FileSystem::format(disk, 8, 64);
         fs.create("wal", 4 * BLOCK_SIZE as u64).unwrap();
         let fd = fs.open("wal").unwrap();
         fs.write(fd, 0, b"old contents").unwrap();
 
         let plane = FaultPlane::seeded(7);
         plane.arm(site, 1);
-        fs.set_fault_plane(Rc::clone(&plane));
+        fs.observer().attach_fault(Rc::clone(&plane)).unwrap();
         assert_eq!(fs.write(fd, 0, b"NEW CONTENTS"), Err(FsError::PowerFailure));
         assert!(fs.halted());
         assert_eq!(plane.injected(site), 1);
 
         let image = fs.disk_image();
         let clock2 = VirtualClock::new();
-        let disk2 = Disk::from_image(Rc::clone(&clock2), image).unwrap();
-        let fs2 = FileSystem::mount(clock2, disk2, 8).unwrap();
+        let disk2 = Disk::from_image(vino_sim::Observer::new(Rc::clone(&clock2)), image).unwrap();
+        let fs2 = FileSystem::mount(disk2, 8).unwrap();
         let report = fs2.recovery_report().unwrap();
         (fs2, report)
     }
@@ -1471,13 +1348,13 @@ mod tests {
     #[test]
     fn halted_instance_rejects_all_operations() {
         let clock = VirtualClock::new();
-        let disk = Disk::new(Rc::clone(&clock));
-        let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
+        let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+        let mut fs = FileSystem::format(disk, 8, 64);
         fs.create("f", BLOCK_SIZE as u64).unwrap();
         let fd = fs.open("f").unwrap();
         let plane = FaultPlane::seeded(1);
         plane.arm(FaultSite::KernelCrashBeforeJournal, 1);
-        fs.set_fault_plane(plane);
+        fs.observer().attach_fault(plane).unwrap();
         assert_eq!(fs.write(fd, 0, b"x"), Err(FsError::PowerFailure));
         // Every subsequent operation on the dead instance fails the same
         // way — no half-alive kernel.
@@ -1531,13 +1408,13 @@ mod tests {
     #[test]
     fn torn_tail_is_never_retained() {
         let clock = VirtualClock::new();
-        let disk = Disk::new(Rc::clone(&clock));
-        let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
+        let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+        let mut fs = FileSystem::format(disk, 8, 64);
         fs.create("t", 4 * BLOCK_SIZE as u64).unwrap(); // seq 1 commits.
         let fd = fs.open("t").unwrap();
         let plane = FaultPlane::seeded(9);
         plane.arm(FaultSite::KernelCrashMidJournal, 1);
-        fs.set_fault_plane(plane);
+        fs.observer().attach_fault(plane).unwrap();
         assert_eq!(fs.write(fd, 0, b"torn"), Err(FsError::PowerFailure));
         // Seq 2 began but never committed: the tail ends at 1, readable
         // even off the dead instance.
@@ -1548,7 +1425,7 @@ mod tests {
         let image = fs.disk_image();
         let clock2 = VirtualClock::new();
         let fs2 =
-            FileSystem::mount(Rc::clone(&clock2), Disk::from_image(clock2, image).unwrap(), 8)
+            FileSystem::mount(Disk::from_image(vino_sim::Observer::new(clock2), image).unwrap(), 8)
                 .unwrap();
         assert_eq!(fs2.recovery_report().unwrap().discarded_txns, 1);
         assert_eq!(fs2.last_committed_seq(), 0);
@@ -1617,20 +1494,22 @@ mod tests {
     fn same_seed_crash_recovery_is_byte_identical() {
         let run = |seed: u64| {
             let clock = VirtualClock::new();
-            let disk = Disk::new(Rc::clone(&clock));
-            let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
+            let disk = Disk::new(vino_sim::Observer::new(Rc::clone(&clock)));
+            let mut fs = FileSystem::format(disk, 8, 64);
             fs.create("r", 8 * BLOCK_SIZE as u64).unwrap();
             let fd = fs.open("r").unwrap();
             let plane = FaultPlane::seeded(seed);
             plane.arm(FaultSite::KernelCrashMidJournal, 2);
-            fs.set_fault_plane(plane);
+            fs.observer().attach_fault(plane).unwrap();
             let _ = fs.write(fd, 0, &[7u8; 3 * BLOCK_SIZE]);
             let _ = fs.write(fd, 100, b"second attempt");
             let image = fs.disk_image();
             let clock2 = VirtualClock::new();
-            let mut fs2 =
-                FileSystem::mount(Rc::clone(&clock2), Disk::from_image(clock2, image).unwrap(), 8)
-                    .unwrap();
+            let mut fs2 = FileSystem::mount(
+                Disk::from_image(vino_sim::Observer::new(clock2), image).unwrap(),
+                8,
+            )
+            .unwrap();
             let fd2 = fs2.open("r").unwrap();
             (fs2.disk_image(), fs2.recovery_report().unwrap(), fs2.read(fd2, 0, 64))
         };

@@ -58,10 +58,10 @@ impl Real {
     fn new() -> Real {
         let clock = VirtualClock::new();
         let disk = Disk::with_geometry(
-            Rc::clone(&clock),
+            vino_sim::Observer::new(Rc::clone(&clock)),
             DiskGeometry { blocks: 512, ..DiskGeometry::default() },
         );
-        Real { fs: FileSystem::format(Rc::clone(&clock), disk, 8, 16), clock, fds: HashMap::new() }
+        Real { fs: FileSystem::format(disk, 8, 16), clock, fds: HashMap::new() }
     }
 
     fn fd(&mut self, name: &str) -> Option<Fd> {
@@ -145,8 +145,7 @@ fn real_fs_matches_model() {
                     let FileSystem { .. } = &old.fs;
                     let disk = old.fs.into_disk();
                     real = Real {
-                        fs: FileSystem::mount(Rc::clone(&clock), disk, 8)
-                            .expect("formatted volume must remount"),
+                        fs: FileSystem::mount(disk, 8).expect("formatted volume must remount"),
                         clock,
                         fds: HashMap::new(),
                     };

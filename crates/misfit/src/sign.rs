@@ -11,11 +11,11 @@
 //! tooling; an HMAC keeps the reproduction self-contained while giving
 //! the same property: only images produced by the keyed tool verify).
 
-use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
-use vino_sim::fault::{FaultPlane, FaultSite};
+use vino_sim::fault::FaultSite;
+use vino_sim::obs::Observer;
 use vino_vm::encode::{decode, encode, DecodeError};
 use vino_vm::isa::Program;
 
@@ -85,22 +85,16 @@ impl std::error::Error for VerifyError {}
 #[derive(Debug, Clone)]
 pub struct MisfitTool {
     key: SigningKey,
-    fault: RefCell<Option<Rc<FaultPlane>>>,
+    obs: Rc<Observer>,
 }
 
 impl MisfitTool {
-    /// Creates a tool instance holding the signing key.
-    pub fn new(key: SigningKey) -> MisfitTool {
-        MisfitTool { key, fault: RefCell::new(None) }
-    }
-
-    /// Attaches a fault plane: each
+    /// Creates a tool instance holding the signing key. Each
     /// [`verify_and_decode`](Self::verify_and_decode) call visits
-    /// [`FaultSite::ImageCorrupt`]; when it fires the image is rejected
-    /// as if corrupted in transit. `&self` because the kernel holds its
-    /// tool instance behind shared references.
-    pub fn set_fault_plane(&self, plane: Rc<FaultPlane>) {
-        *self.fault.borrow_mut() = Some(plane);
+    /// [`FaultSite::ImageCorrupt`] through `obs`; when it fires the
+    /// image is rejected as if corrupted in transit.
+    pub fn new(key: SigningKey, obs: Rc<Observer>) -> MisfitTool {
+        MisfitTool { key, obs }
     }
 
     /// The full MiSFIT pipeline: SFI-instrument `prog`, encode it, and
@@ -126,7 +120,7 @@ impl MisfitTool {
     /// Kernel-side verification: recompute the checksum, compare, and
     /// decode. Exactly the §3.3 load sequence.
     pub fn verify_and_decode(&self, image: &SignedImage) -> Result<Program, VerifyError> {
-        if self.fault.borrow().as_ref().is_some_and(|p| p.fire(FaultSite::ImageCorrupt)) {
+        if self.obs.fire(FaultSite::ImageCorrupt) {
             // Injected corruption: the checksum comparison fails exactly
             // as it would for a genuinely damaged image.
             return Err(VerifyError::BadSignature);
@@ -144,8 +138,12 @@ mod tests {
     use super::*;
     use vino_vm::isa::{Instr, Reg};
 
+    fn unobserved() -> Rc<Observer> {
+        Observer::new(vino_sim::VirtualClock::new())
+    }
+
     fn tool() -> MisfitTool {
-        MisfitTool::new(SigningKey::from_passphrase("vino-test-key"))
+        MisfitTool::new(SigningKey::from_passphrase("vino-test-key"), unobserved())
     }
 
     fn sample() -> Program {
@@ -191,19 +189,19 @@ mod tests {
     #[test]
     fn unprocessed_code_rejected() {
         // An attacker who bypasses MiSFIT and signs with the wrong key.
-        let attacker = MisfitTool::new(SigningKey::from_passphrase("attacker"));
+        let attacker = MisfitTool::new(SigningKey::from_passphrase("attacker"), unobserved());
         let img = attacker.seal(&sample());
         assert_eq!(tool().verify_and_decode(&img), Err(VerifyError::BadSignature));
     }
 
     #[test]
     fn injected_corruption_rejects_then_passes() {
-        use vino_sim::fault::{FaultPlane, FaultSite};
+        use vino_sim::fault::FaultPlane;
         let t = tool();
         let (img, _) = t.process(&sample()).unwrap();
         let plane = FaultPlane::seeded(0);
         plane.arm(FaultSite::ImageCorrupt, 1);
-        t.set_fault_plane(plane);
+        t.obs.attach_fault(plane).unwrap();
         assert_eq!(t.verify_and_decode(&img), Err(VerifyError::BadSignature));
         assert!(t.verify_and_decode(&img).is_ok(), "one-shot spent; image is fine");
     }
@@ -224,8 +222,8 @@ mod tests {
 
     #[test]
     fn distinct_keys_distinct_signatures() {
-        let a = MisfitTool::new(SigningKey::from_passphrase("a")).seal(&sample());
-        let b = MisfitTool::new(SigningKey::from_passphrase("b")).seal(&sample());
+        let a = MisfitTool::new(SigningKey::from_passphrase("a"), unobserved()).seal(&sample());
+        let b = MisfitTool::new(SigningKey::from_passphrase("b"), unobserved()).seal(&sample());
         assert_eq!(a.bytes, b.bytes);
         assert_ne!(a.signature, b.signature);
     }

@@ -7,7 +7,7 @@
 use std::rc::Rc;
 
 use vino_misfit::{MisfitTool, SigningKey};
-use vino_sim::{SplitMix64, VirtualClock};
+use vino_sim::{Observer, SplitMix64, VirtualClock};
 use vino_vm::interp::{Exit, NullKernel, Trap, Vm};
 use vino_vm::isa::{AluOp, Cond, Instr, Program, Reg};
 use vino_vm::mem::{AddressSpace, Protection};
@@ -81,7 +81,8 @@ fn processed_hostile_programs_cannot_corrupt_kernel() {
     let mut rng = SplitMix64::new(0x405_7113);
     for _case in 0..300 {
         let prog = gen_raw_program(&mut rng);
-        let tool = MisfitTool::new(SigningKey::from_passphrase("e2e"));
+        let tool =
+            MisfitTool::new(SigningKey::from_passphrase("e2e"), Observer::new(VirtualClock::new()));
         let (image, _) = tool.process(&prog).expect("raw programs must instrument");
         let loaded = tool.verify_and_decode(&image).expect("fresh image must verify");
 
@@ -107,7 +108,8 @@ fn any_bitflip_breaks_the_signature() {
     let mut rng = SplitMix64::new(0xB17_F11B);
     for _case in 0..300 {
         let prog = gen_raw_program(&mut rng);
-        let tool = MisfitTool::new(SigningKey::from_passphrase("e2e"));
+        let tool =
+            MisfitTool::new(SigningKey::from_passphrase("e2e"), Observer::new(VirtualClock::new()));
         let (mut image, _) = tool.process(&prog).unwrap();
         let idx = rng.below(image.bytes.len() as u64) as usize;
         let bit = rng.below(8) as u8;
@@ -152,7 +154,8 @@ fn instrumentation_preserves_tame_programs() {
         assert_eq!(raw, Exit::Halted(expected));
 
         // Instrumented execution.
-        let tool = MisfitTool::new(SigningKey::from_passphrase("e2e"));
+        let tool =
+            MisfitTool::new(SigningKey::from_passphrase("e2e"), Observer::new(VirtualClock::new()));
         let (image, stats) = tool.process(&prog).unwrap();
         let inst = tool.verify_and_decode(&image).unwrap();
         assert_eq!(stats.mem_accesses, 2 * vals.len());

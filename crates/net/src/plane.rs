@@ -27,7 +27,8 @@ use vino_dev::Port;
 use vino_misfit::SignedImage;
 use vino_rm::PrincipalId;
 use vino_sim::fault::FaultSite;
-use vino_sim::metrics::{Component, Counter};
+use vino_sim::metrics::Component;
+use vino_sim::obs::Observer;
 use vino_sim::profile::SpanKind;
 use vino_sim::trace::{ShedKind, TraceEvent, VerdictKind};
 use vino_sim::{costs, Cycles, ThreadId};
@@ -270,7 +271,7 @@ impl PacketPlane {
         let port = pkt.port;
         let len = pkt.len() as u64;
         let pkt_ctx = pkt.ctx;
-        let forced = self.fault_fire(FaultSite::NetRxOverflow);
+        let forced = self.obs().fire(FaultSite::NetRxOverflow);
         let mut ports = self.ports.borrow_mut();
         let st = ports.entry(port).or_insert_with(|| PortState::new(DEFAULT_RING_CAPACITY));
         let outcome = st.ring.admit(pkt, forced);
@@ -282,23 +283,20 @@ impl PacketPlane {
                 // chained to it, so a shipped frame's arrival is
                 // attributable to the sender's span across the kernel
                 // boundary.
-                match self.kernel.engine.trace_plane() {
+                let rx = TraceEvent::NetRx { port: port.0, len };
+                match self.obs().trace() {
                     Some(tp) if !pkt_ctx.is_none() => {
-                        let ctx = tp.mint_span(pkt_ctx.span);
-                        tp.emit_with_ctx(TraceEvent::NetRx { port: port.0, len }, ctx);
+                        self.obs().emit_with_ctx(rx, tp.mint_span(pkt_ctx.span))
                     }
-                    _ => self.emit(TraceEvent::NetRx { port: port.0, len }),
+                    _ => self.obs().emit(rx),
                 }
-                self.count(Counter::NetRxPackets);
             }
             Admit::ShedWatermark => {
-                self.emit(TraceEvent::NetShed { port: port.0, kind: ShedKind::Watermark });
-                self.count(Counter::NetRxSheds);
+                self.obs().emit(TraceEvent::NetShed { port: port.0, kind: ShedKind::Watermark });
                 self.observe_shed();
             }
             Admit::DropOverflow => {
-                self.emit(TraceEvent::NetShed { port: port.0, kind: ShedKind::Overflow });
-                self.count(Counter::NetRxOverflows);
+                self.obs().emit(TraceEvent::NetShed { port: port.0, kind: ShedKind::Overflow });
                 self.observe_shed();
             }
         }
@@ -367,20 +365,13 @@ impl PacketPlane {
     ) {
         let n = batch.len();
         let dispatch_start = self.kernel.clock.now();
-        self.kernel.clock.charge(Cycles(costs::INDIRECTION_CYCLES));
-        if let Some(mp) = self.kernel.engine.metrics_plane() {
-            mp.charge(Component::Indirection, Cycles(costs::INDIRECTION_CYCLES));
-        }
-        if let Some(pp) = self.kernel.engine.profile_plane() {
-            pp.charge(Component::Indirection, Cycles(costs::INDIRECTION_CYCLES));
-        }
-        self.emit(TraceEvent::NetBatch { port: port.0, n: n as u64 });
-        self.count(Counter::NetBatchDispatches);
+        self.obs().charge(Component::Indirection, Cycles(costs::INDIRECTION_CYCLES));
+        self.obs().emit(TraceEvent::NetBatch { port: port.0, n: n as u64 });
         sum.batches += 1;
         // The injected filter trap: arm a VM trap on the filter's next
         // interpreted instruction, so the batch aborts mid-run through
         // the ordinary trap → abort → unload machinery.
-        if let Some(fp) = self.kernel.engine.fault_plane() {
+        if let Some(fp) = self.obs().fault() {
             if fp.fire(FaultSite::NetFilterTrap) {
                 fp.arm(FaultSite::VmTrap, fp.visits(FaultSite::VmTrap) + 1);
             }
@@ -406,25 +397,19 @@ impl PacketPlane {
                 for (pkt, halt) in batch.into_iter().zip(results) {
                     // The §3.1 result check: validate the verdict before
                     // acting on it.
-                    self.kernel.clock.charge(RESULT_CHECK_COST);
-                    if let Some(mp) = self.kernel.engine.metrics_plane() {
-                        mp.charge(Component::ResultCheck, RESULT_CHECK_COST);
-                    }
-                    if let Some(pp) = self.kernel.engine.profile_plane() {
-                        pp.charge(Component::ResultCheck, RESULT_CHECK_COST);
-                    }
+                    self.obs().charge(Component::ResultCheck, RESULT_CHECK_COST);
                     match decode_verdict(halt) {
                         Verdict::Accept => {
-                            self.verdict(port, VerdictKind::Accept, Counter::NetAccepts);
+                            self.verdict(port, VerdictKind::Accept);
                             sum.accepted += 1;
                             self.deliver(port, pkt);
                         }
                         Verdict::Drop => {
-                            self.verdict(port, VerdictKind::Drop, Counter::NetDrops);
+                            self.verdict(port, VerdictKind::Drop);
                             sum.dropped += 1;
                         }
                         Verdict::Steer(to) => {
-                            self.verdict(port, VerdictKind::Steer, Counter::NetSteers);
+                            self.verdict(port, VerdictKind::Steer);
                             sum.steered += 1;
                             self.steer(port, to, pkt, sum);
                         }
@@ -445,16 +430,14 @@ impl PacketPlane {
         // One span per batched dispatch, covering indirection, the
         // wrapped filter run and verdict processing; the invocation
         // span nests inside it by containment.
-        if let Some(pp) = self.kernel.engine.profile_plane() {
-            pp.mark_since(SpanKind::NetDispatch, dispatch_start);
-        }
+        self.obs().mark_since(SpanKind::NetDispatch, dispatch_start);
     }
 
     /// The accept-all default filter: the cheap native path every
     /// packet takes when no live filter is installed (§3.6 fallback).
     fn default_accept(&self, port: Port, pkt: Packet, sum: &mut PumpSummary) {
         self.kernel.clock.charge(DEFAULT_FILTER_COST);
-        self.verdict(port, VerdictKind::Accept, Counter::NetAccepts);
+        self.verdict(port, VerdictKind::Accept);
         sum.defaulted += 1;
         sum.accepted += 1;
         self.deliver(port, pkt);
@@ -465,28 +448,25 @@ impl PacketPlane {
     fn steer(&self, from: Port, to: Port, mut pkt: Packet, sum: &mut PumpSummary) {
         pkt.hops += 1;
         if pkt.hops > self.hop_budget.get() {
-            self.emit(TraceEvent::NetLoopCut { port: from.0 });
-            self.count(Counter::NetLoopCuts);
+            self.obs().emit(TraceEvent::NetLoopCut { port: from.0 });
             sum.loop_cuts += 1;
             self.note_loop_cut(from);
             return;
         }
         // The injected steering cycle: redirect the packet back at the
         // port it came from, so only the hop budget can end it.
-        let to = if self.fault_fire(FaultSite::NetSteerLoop) { from } else { to };
+        let to = if self.obs().fire(FaultSite::NetSteerLoop) { from } else { to };
         if to == crate::packet::REPL_PORT {
             // No filter verdict may inject traffic into the reserved
             // replication port; treat the attempt like a cut loop and
             // blame the steering filter.
-            self.emit(TraceEvent::NetLoopCut { port: from.0 });
-            self.count(Counter::NetLoopCuts);
+            self.obs().emit(TraceEvent::NetLoopCut { port: from.0 });
             sum.loop_cuts += 1;
             self.note_loop_cut(from);
             return;
         }
         self.kernel.clock.charge(STEER_COST);
-        self.emit(TraceEvent::NetSteer { from: from.0, to: to.0 });
-        self.count(Counter::NetSteerHops);
+        self.obs().emit(TraceEvent::NetSteer { from: from.0, to: to.0 });
         pkt.port = to;
         let _ = self.enqueue(pkt);
     }
@@ -528,17 +508,8 @@ impl PacketPlane {
             st.filter_name.clone()
         };
         if let Some(name) = name {
-            if let Some(tp) = self.kernel.engine.trace_plane() {
-                let tag = tp.tag(&name);
-                tp.emit(TraceEvent::FallbackServed { graft: tag });
-            }
-            if let Some(mp) = self.kernel.engine.metrics_plane() {
-                let mtag = mp.tag(&name);
-                mp.mark_fallback(mtag);
-            }
-            if let Some(pp) = self.kernel.engine.profile_plane() {
-                pp.mark_fallback();
-            }
+            let obs = self.obs();
+            obs.fallback(&obs.tags_of(&name));
         }
     }
 
@@ -590,33 +561,21 @@ impl PacketPlane {
         self.ports.borrow().keys().copied().collect()
     }
 
-    fn fault_fire(&self, site: FaultSite) -> bool {
-        self.kernel.engine.fault_plane().map(|fp| fp.fire(site)).unwrap_or(false)
-    }
-
-    fn emit(&self, ev: TraceEvent) {
-        if let Some(tp) = self.kernel.engine.trace_plane() {
-            tp.emit(ev);
-        }
-    }
-
-    fn count(&self, c: Counter) {
-        if let Some(mp) = self.kernel.engine.metrics_plane() {
-            mp.inc(c);
-        }
+    /// The kernel's observer: the packet plane reports through it.
+    fn obs(&self) -> &Rc<Observer> {
+        self.kernel.observer()
     }
 
     /// Feeds one shed packet (watermark or overflow) into the watch
     /// plane's RX shed-rate window (the `rx-shed` SLO rule).
     fn observe_shed(&self) {
-        if let Some(wp) = self.kernel.engine.watch_plane() {
+        if let Some(wp) = self.obs().watch() {
             wp.observe_shed();
         }
     }
 
-    fn verdict(&self, port: Port, kind: VerdictKind, counter: Counter) {
-        self.emit(TraceEvent::NetVerdict { port: port.0, verdict: kind });
-        self.count(counter);
+    fn verdict(&self, port: Port, kind: VerdictKind) {
+        self.obs().emit(TraceEvent::NetVerdict { port: port.0, verdict: kind });
     }
 }
 
@@ -634,7 +593,7 @@ mod tests {
     use super::*;
     use vino_rm::{Limits, ResourceKind};
     use vino_sim::fault::FaultPlane;
-    use vino_sim::metrics::MetricsPlane;
+    use vino_sim::metrics::{Counter, MetricsPlane};
     use vino_sim::trace::TracePlane;
 
     fn boot_plane() -> (Rc<PacketPlane>, Rc<MetricsPlane>, PrincipalId, ThreadId) {

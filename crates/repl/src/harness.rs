@@ -216,7 +216,7 @@ pub struct ReplHarness {
 
 impl ReplHarness {
     /// Boots a primary and a replica off one fresh virtual clock and
-    /// one fault plane seeded with `seed`, wires a per-kernel trace
+    /// one fault plane seeded with `seed`, attaches a per-kernel trace
     /// plane into each node (node 0 primary, node 1 replica) and a
     /// shared metrics plane into both, a watch plane into the primary,
     /// and opens the reserved replication port on both packet planes.
@@ -248,8 +248,7 @@ impl ReplHarness {
         r_plane.open_port(REPL_PORT, RING_CAP);
         let shadow_clock = VirtualClock::new();
         let shadow = FileSystem::format(
-            Rc::clone(&shadow_clock),
-            Disk::new(shadow_clock),
+            Disk::new(vino_sim::Observer::new(shadow_clock)),
             cfg.kernel.cache_blocks,
             cfg.kernel.max_files,
         );
@@ -413,8 +412,9 @@ impl ReplHarness {
         for rec in window {
             if self.fault.fire(FaultSite::ReplShipDrop) {
                 let drop_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq));
-                self.p_trace.emit_with_ctx(TraceEvent::ReplFrameDrop { seq: rec.seq }, drop_ctx);
-                self.metrics.inc(Counter::ReplFrameDrops);
+                self.primary
+                    .observer()
+                    .emit_with_ctx(TraceEvent::ReplFrameDrop { seq: rec.seq }, drop_ctx);
                 rep.dropped += 1;
                 continue;
             }
@@ -434,7 +434,7 @@ impl ReplHarness {
         // by next round's retransmission.
         for rec in &batch {
             if rec.seq <= self.high_shipped {
-                self.metrics.inc(Counter::ReplRetransmits);
+                self.primary.observer().inc(Counter::ReplRetransmits);
                 rep.retransmits += 1;
             }
             self.high_shipped = self.high_shipped.max(rec.seq);
@@ -442,11 +442,10 @@ impl ReplHarness {
             // rides every fragment of the frame in-band.
             let ship_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq));
             let frags = frame::fragment(rec, ship_ctx);
-            self.p_trace.emit_with_ctx(
+            self.primary.observer().emit_with_ctx(
                 TraceEvent::ReplShip { seq: rec.seq, frags: frags.len() as u64 },
                 ship_ctx,
             );
-            self.metrics.inc(Counter::ReplShips);
             rep.shipped += 1;
             for f in frags {
                 self.clock.charge(WIRE_CYCLES);
@@ -477,11 +476,10 @@ impl ReplHarness {
                     Ok(IngestOutcome::Applied { blocks }) => {
                         self.applied = self.applied.max(r.seq);
                         self.last_ingest_ctx = ingest_ctx;
-                        self.r_trace.emit_with_ctx(
+                        self.replica.observer().emit_with_ctx(
                             TraceEvent::ReplApply { seq: r.seq, blocks },
                             ingest_ctx,
                         );
-                        self.metrics.inc(Counter::ReplApplies);
                         rep.applied += 1;
                     }
                     Ok(IngestOutcome::Duplicate | IngestOutcome::Gap { .. }) => {}
@@ -516,8 +514,9 @@ impl ReplHarness {
                         self.sync_shadow(acked);
                         self.acked = acked;
                         let ack_span = self.p_trace.mint_span(ctx.span);
-                        self.p_trace.emit_with_ctx(TraceEvent::ReplAck { acked }, ack_span);
-                        self.metrics.inc(Counter::ReplAcks);
+                        self.primary
+                            .observer()
+                            .emit_with_ctx(TraceEvent::ReplAck { acked }, ack_span);
                         self.primary.fs.borrow_mut().prune_committed(acked);
                     }
                 }
@@ -589,9 +588,9 @@ impl ReplHarness {
                 IngestOutcome::Applied { blocks } => {
                     self.applied = self.applied.max(rec.seq);
                     self.last_ingest_ctx = ingest_ctx;
-                    self.r_trace
+                    self.replica
+                        .observer()
                         .emit_with_ctx(TraceEvent::ReplApply { seq: rec.seq, blocks }, ingest_ctx);
-                    self.metrics.inc(Counter::ReplApplies);
                 }
                 IngestOutcome::Duplicate => {}
                 IngestOutcome::Gap { expected } => {
@@ -611,8 +610,9 @@ impl ReplHarness {
         )
         .expect("a converged replica image must boot");
         let promote_ctx = self.r_trace.mint_span(self.last_ingest_ctx.span);
-        self.r_trace.emit_with_ctx(TraceEvent::ReplPromote { seq: self.applied }, promote_ctx);
-        self.metrics.inc(Counter::ReplPromotions);
+        self.replica
+            .observer()
+            .emit_with_ctx(TraceEvent::ReplPromote { seq: self.applied }, promote_ctx);
         promoted
     }
 
@@ -744,9 +744,9 @@ impl ReplHarness {
 /// recovered image plus its superblock.
 fn recovered_image(image: &DiskImage) -> (DiskImage, SuperBlock) {
     let clock = VirtualClock::new();
-    let disk = Disk::from_image(Rc::clone(&clock), image.clone())
+    let disk = Disk::from_image(vino_sim::Observer::new(Rc::clone(&clock)), image.clone())
         .expect("snapshot images are geometry-consistent");
-    let fs = FileSystem::mount(clock, disk, 16).expect("the image must be recoverable");
+    let fs = FileSystem::mount(disk, 16).expect("the image must be recoverable");
     let img = fs.disk_image();
     let sb = SuperBlock::decode(&img.block(BlockAddr(0))).expect("recovered superblock");
     (img, sb)

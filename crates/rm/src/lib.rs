@@ -20,10 +20,10 @@ use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::metrics::{Counter, MetricsPlane};
-use vino_sim::profile::{ProfilePlane, SpanKind};
-use vino_sim::trace::{TraceEvent, TracePlane};
+use vino_sim::fault::FaultSite;
+use vino_sim::obs::Observer;
+use vino_sim::profile::SpanKind;
+use vino_sim::trace::TraceEvent;
 use vino_sim::Cycles;
 
 /// The kinds of quantity-constrained resources the kernel accounts.
@@ -198,63 +198,26 @@ pub struct AccountantState {
 }
 
 /// The kernel's resource accountant.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ResourceAccountant {
     accounts: HashMap<PrincipalId, Account>,
     next: u64,
-    fault: Option<Rc<FaultPlane>>,
-    trace: Option<Rc<TracePlane>>,
-    metrics: Option<Rc<MetricsPlane>>,
-    profile: Option<Rc<ProfilePlane>>,
+    obs: Rc<Observer>,
 }
 
 impl ResourceAccountant {
-    /// An empty accountant.
-    pub fn new() -> ResourceAccountant {
-        ResourceAccountant::default()
-    }
-
-    /// Attaches a fault plane: each [`charge`](Self::charge) visits
-    /// [`FaultSite::ResourceExhaust`]; when it fires the charge is
-    /// denied as over-limit even though the payer has headroom —
-    /// simulating transient kernel-wide exhaustion (§3.2: "when the
-    /// process would normally be denied requests [...] the graft's
-    /// requests also fail").
-    pub fn set_fault_plane(&mut self, plane: Rc<FaultPlane>) {
-        self.fault = Some(plane);
-    }
-
-    /// Wires a trace plane: grants, releases and limit denials emit
-    /// `rm.*` events (see `docs/TRACING.md`).
-    pub fn set_trace_plane(&mut self, plane: Rc<TracePlane>) {
-        self.trace = Some(plane);
-    }
-
-    /// Wires a metrics plane: grants, denials and releases bump their
-    /// counters, and each grant raises the per-kind high-water gauge
-    /// (see `docs/METRICS.md`).
-    pub fn set_metrics_plane(&mut self, plane: Rc<MetricsPlane>) {
-        self.metrics = Some(plane);
-    }
-
-    /// Wires a profile plane: each grant is recorded as an
-    /// instantaneous `rm-grant` mark in the invocation span tree
-    /// (grants are pure bookkeeping and charge no cycles, so the span
-    /// has zero duration — see `docs/PROFILING.md`).
-    pub fn set_profile_plane(&mut self, plane: Rc<ProfilePlane>) {
-        self.profile = Some(plane);
-    }
-
-    fn emit(&self, ev: TraceEvent) {
-        if let Some(tp) = &self.trace {
-            tp.emit(ev);
-        }
-    }
-
-    fn minc(&self, c: Counter) {
-        if let Some(mp) = &self.metrics {
-            mp.inc(c);
-        }
+    /// An empty accountant reporting to `obs`. Grants, releases and
+    /// limit denials emit `rm.*` events with their counter twins, each
+    /// grant raises the per-kind high-water gauge and is recorded as an
+    /// instantaneous `rm-grant` profile mark (grants are pure
+    /// bookkeeping and charge no cycles), and each
+    /// [`charge`](Self::charge) visits [`FaultSite::ResourceExhaust`]:
+    /// when it fires the charge is denied as over-limit even though the
+    /// payer has headroom — simulating transient kernel-wide exhaustion
+    /// (§3.2: "when the process would normally be denied requests
+    /// [...] the graft's requests also fail").
+    pub fn new(obs: Rc<Observer>) -> ResourceAccountant {
+        ResourceAccountant { accounts: HashMap::new(), next: 0, obs }
     }
 
     /// Snapshots the full book for a checkpoint.
@@ -359,11 +322,10 @@ impl ResourceAccountant {
         amount: u64,
     ) -> Result<(), ResourceError> {
         let payer = self.payer_of(principal);
-        if self.fault.as_ref().is_some_and(|p| p.fire(FaultSite::ResourceExhaust)) {
+        if self.obs.fire(FaultSite::ResourceExhaust) {
             // Injected denial: indistinguishable from a genuine limit
             // hit, and like one it has no partial effect.
-            self.minc(Counter::RmDenials);
-            self.emit(TraceEvent::ResLimitHit {
+            self.obs.emit(TraceEvent::ResLimitHit {
                 principal: payer.0,
                 kind: kind.index(),
                 requested: amount,
@@ -380,8 +342,7 @@ impl ResourceAccountant {
         let limit = acc.limits.get(kind);
         let available = limit.saturating_sub(used);
         if amount > available {
-            self.minc(Counter::RmDenials);
-            self.emit(TraceEvent::ResLimitHit {
+            self.obs.emit(TraceEvent::ResLimitHit {
                 principal: payer.0,
                 kind: kind.index(),
                 requested: amount,
@@ -399,14 +360,11 @@ impl ResourceAccountant {
             acc.peak.set(kind, new_peak);
         }
         let now_used = acc.used.get(kind);
-        if let Some(mp) = &self.metrics {
-            mp.inc(Counter::RmGrants);
+        if let Some(mp) = self.obs.metrics() {
             mp.observe_rm_peak(kind.index(), now_used);
         }
-        if let Some(pp) = &self.profile {
-            pp.mark(SpanKind::RmGrant, Cycles::ZERO);
-        }
-        self.emit(TraceEvent::ResGrant { principal: payer.0, kind: kind.index(), amount });
+        self.obs.mark(SpanKind::RmGrant, Cycles::ZERO);
+        self.obs.emit(TraceEvent::ResGrant { principal: payer.0, kind: kind.index(), amount });
         Ok(())
     }
 
@@ -418,8 +376,11 @@ impl ResourceAccountant {
         if let Some(acc) = self.accounts.get_mut(&payer) {
             let used = acc.used.get(kind);
             acc.used.set(kind, used.saturating_sub(amount));
-            self.minc(Counter::RmReleases);
-            self.emit(TraceEvent::ResRelease { principal: payer.0, kind: kind.index(), amount });
+            self.obs.emit(TraceEvent::ResRelease {
+                principal: payer.0,
+                kind: kind.index(),
+                amount,
+            });
         }
     }
 
@@ -530,7 +491,7 @@ mod tests {
 
     #[test]
     fn graft_principal_starts_at_zero() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let g = ra.create_graft_principal();
         for kind in ResourceKind::ALL {
             assert_eq!(ra.limit(g, kind), 0);
@@ -542,7 +503,7 @@ mod tests {
 
     #[test]
     fn transfer_moves_headroom() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 1000)]));
         let g = ra.create_graft_principal();
         ra.transfer(app, g, Memory, 400).unwrap();
@@ -554,7 +515,7 @@ mod tests {
 
     #[test]
     fn transfer_cannot_strand_usage() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 1000)]));
         let g = ra.create_graft_principal();
         ra.charge(app, Memory, 900).unwrap();
@@ -568,7 +529,7 @@ mod tests {
 
     #[test]
     fn billing_routes_to_installer() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 500)]));
         let g = ra.create_graft_principal();
         ra.bill_to(g, app).unwrap();
@@ -583,7 +544,7 @@ mod tests {
 
     #[test]
     fn billing_cycles_rejected() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let a = ra.create_graft_principal();
         let b = ra.create_graft_principal();
         ra.bill_to(a, b).unwrap();
@@ -595,7 +556,7 @@ mod tests {
     fn pooling_delegation() {
         // §3.2's database example: several clients pool wired memory
         // into a shared buffer-pool graft.
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let clients: Vec<_> =
             (0..3).map(|_| ra.create_principal(Limits::of(&[(WiredPages, 100)]))).collect();
         let pool = ra.create_graft_principal();
@@ -609,7 +570,7 @@ mod tests {
 
     #[test]
     fn release_saturates() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 100)]));
         ra.charge(app, Memory, 40).unwrap();
         ra.release(app, Memory, 100); // Over-release forgiven.
@@ -618,7 +579,7 @@ mod tests {
 
     #[test]
     fn peak_tracks_high_water() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 100)]));
         ra.charge(app, Memory, 70).unwrap();
         ra.release(app, Memory, 50);
@@ -629,7 +590,7 @@ mod tests {
 
     #[test]
     fn destroy_returns_limits_to_heir() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 1000)]));
         let g = ra.create_graft_principal();
         ra.transfer(app, g, Memory, 400).unwrap();
@@ -639,7 +600,7 @@ mod tests {
 
     #[test]
     fn destroy_clears_billing_references() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 10)]));
         let g = ra.create_graft_principal();
         ra.bill_to(g, app).unwrap();
@@ -650,7 +611,7 @@ mod tests {
 
     #[test]
     fn unknown_principals_error() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let ghost = PrincipalId(999);
         let real = ra.create_graft_principal();
         assert!(matches!(
@@ -666,11 +627,11 @@ mod tests {
 
     #[test]
     fn injected_exhaustion_denies_despite_headroom() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 1000)]));
-        let plane = FaultPlane::seeded(0);
+        let plane = vino_sim::FaultPlane::seeded(0);
         plane.arm(FaultSite::ResourceExhaust, 1);
-        ra.set_fault_plane(plane);
+        ra.obs.attach_fault(plane).unwrap();
         let err = ra.charge(app, Memory, 10).unwrap_err();
         assert!(matches!(err, ResourceError::LimitExceeded { available: 0, .. }));
         assert_eq!(ra.used(app, Memory), 0, "denied charge has no partial effect");
@@ -681,7 +642,7 @@ mod tests {
 
     #[test]
     fn blame_follows_the_billing_chain() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let installer = ra.create_principal(Limits::of(&[(Memory, 100)]));
         let graft = ra.create_graft_principal();
         ra.bill_to(graft, installer).unwrap();
@@ -701,7 +662,7 @@ mod tests {
     fn blame_to_overrides_the_billing_chain() {
         // Transfer-mode shape: the graft pays for its own resources (no
         // bill_to link) yet its abort-blame still reaches the installer.
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let installer = ra.create_principal(Limits::of(&[(Memory, 100)]));
         let graft = ra.create_graft_principal();
         ra.blame_to(graft, installer);
@@ -712,7 +673,7 @@ mod tests {
 
     #[test]
     fn failed_charge_has_no_effect() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let app = ra.create_principal(Limits::of(&[(Memory, 100)]));
         ra.charge(app, Memory, 60).unwrap();
         assert!(ra.charge(app, Memory, 50).is_err());
@@ -723,9 +684,9 @@ mod tests {
     fn trace_plane_sees_grants_releases_and_denials() {
         use vino_sim::trace::TracePlane;
         use vino_sim::VirtualClock;
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let plane = TracePlane::new(VirtualClock::new());
-        ra.set_trace_plane(Rc::clone(&plane));
+        ra.obs.attach_trace(Rc::clone(&plane)).unwrap();
         let app = ra.create_principal(Limits::of(&[(Memory, 100)]));
         ra.charge(app, Memory, 60).unwrap();
         ra.release(app, Memory, 10);
@@ -744,7 +705,7 @@ mod tests {
 
     #[test]
     fn total_limit_conserved_by_transfer() {
-        let mut ra = ResourceAccountant::new();
+        let mut ra = ResourceAccountant::new(Observer::new(vino_sim::VirtualClock::new()));
         let a = ra.create_principal(Limits::of(&[(Memory, 700)]));
         let b = ra.create_principal(Limits::of(&[(Memory, 300)]));
         let before = ra.total_limit(Memory);

@@ -33,7 +33,7 @@ fn gen_op(rng: &mut SplitMix64) -> Op {
 }
 
 fn setup() -> (ResourceAccountant, Vec<PrincipalId>) {
-    let mut ra = ResourceAccountant::new();
+    let mut ra = ResourceAccountant::new(vino_sim::Observer::new(vino_sim::VirtualClock::new()));
     let principals: Vec<PrincipalId> = (0..6)
         .map(|i| {
             if i < 3 {
@@ -85,7 +85,8 @@ fn denied_charges_are_exactly_over_limit() {
     let mut rng = SplitMix64::new(0xDE_4411);
     for _case in 0..256 {
         let extra = rng.range(1, 9_999);
-        let mut ra = ResourceAccountant::new();
+        let mut ra =
+            ResourceAccountant::new(vino_sim::Observer::new(vino_sim::VirtualClock::new()));
         let p = ra.create_principal(Limits::of(&[(KIND, 5000)]));
         ra.charge(p, KIND, 5000).unwrap();
         assert!(ra.charge(p, KIND, extra).is_err());

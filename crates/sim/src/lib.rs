@@ -8,6 +8,10 @@
 //! directly, trimmed-mean [`stats`] matching the paper's methodology
 //! (drop top and bottom 10 % of samples), a deterministic [`rng`], and a
 //! timer [`event`] queue used for lock time-outs and scheduling.
+//!
+//! It also hosts the five observability planes ([`plane`] describes
+//! the attach contract) and the per-kernel [`obs::Observer`] that every
+//! subsystem charges cycles and emits events through.
 
 pub mod clock;
 pub mod costs;
@@ -15,7 +19,9 @@ pub mod debug;
 pub mod event;
 pub mod fault;
 pub mod ids;
+mod ledger;
 pub mod metrics;
+pub mod obs;
 pub mod plane;
 pub mod profile;
 pub mod rng;
@@ -31,7 +37,8 @@ pub use ids::ThreadId;
 pub use metrics::{
     Attribution, Component, Counter, CycleHistogram, MetricTag, MetricsPlane, MetricsState,
 };
-pub use plane::{AttachError, AttachSlot};
+pub use obs::{GraftTags, Observer};
+pub use plane::AttachError;
 pub use profile::{HotFn, ProfTag, ProfilePlane, SpanKind};
 pub use rng::{SplitMix64, XorShift64};
 pub use trace::{

@@ -21,9 +21,10 @@
 //! - **Deterministic.** Everything is driven by the virtual clock and
 //!   integer arithmetic, so two same-seed runs produce byte-identical
 //!   snapshots (`tests/metrics_golden.rs`, `tests/survival.rs`).
-//! - **Attach-once.** `Kernel::attach_metrics_plane` wires one shared
-//!   handle through VM, transaction manager, resource manager, file
-//!   system and the graft engine; a second attach is refused.
+//! - **Attach-once.** The plane attaches to a kernel's
+//!   [`crate::obs::Observer`] (`Kernel::attach_metrics_plane`); every
+//!   subsystem reaches it through that one handle, and a second attach
+//!   is refused.
 //!
 //! Recording a metric never charges the clock: attaching a metrics
 //! plane is observation, not perturbation — timings and goldens are
@@ -34,6 +35,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
+use crate::ledger::{Ledger, LedgerState};
 
 /// Interned graft-name handle, the metrics twin of
 /// [`crate::trace::GraftTag`]. Interning happens at install time (the
@@ -41,10 +43,6 @@ use crate::clock::{Cycles, VirtualClock};
 /// tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MetricTag(pub u16);
-
-/// Maximum concurrently bracketed invocations (graft-to-graft nesting).
-/// The engine bounds nesting well below this (`MAX_NEST_DEPTH`).
-const MAX_NEST: usize = 16;
 
 // ---------------------------------------------------------------------------
 // Counters.
@@ -512,19 +510,18 @@ impl Default for CycleHistogram {
 // Per-graft slots and invocation frames.
 // ---------------------------------------------------------------------------
 
-/// Per-graft aggregates, one fixed-size slot per interned tag.
+/// Per-graft aggregates, one fixed-size slot per interned tag (the
+/// per-component attribution and invocation count live in the
+/// [`Ledger`]).
 #[derive(Debug, Clone, Copy)]
 struct GraftSlot {
     installs: u64,
-    invocations: u64,
     commits: u64,
     aborts: u64,
     fallbacks: u64,
     quarantines: u64,
     /// Deadline of the most recent quarantine trip, if any.
     quarantined_until: Option<Cycles>,
-    /// Attributed cycles per component.
-    comps: [u64; Component::COUNT],
     /// End-to-end invocation latency (begin bracket to end bracket).
     latency: CycleHistogram,
 }
@@ -533,28 +530,15 @@ impl GraftSlot {
     fn new() -> GraftSlot {
         GraftSlot {
             installs: 0,
-            invocations: 0,
             commits: 0,
             aborts: 0,
             fallbacks: 0,
             quarantines: 0,
             quarantined_until: None,
-            comps: [0; Component::COUNT],
             latency: CycleHistogram::new(),
         }
     }
 }
-
-/// One open invocation bracket on the fixed-depth stack.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    tag: MetricTag,
-    start: Cycles,
-    comps: [u64; Component::COUNT],
-}
-
-const IDLE_FRAME: Frame =
-    Frame { tag: MetricTag(u16::MAX), start: Cycles(0), comps: [0; Component::COUNT] };
 
 // ---------------------------------------------------------------------------
 // The plane.
@@ -570,8 +554,7 @@ pub struct MetricsState {
     counters: [u64; Counter::COUNT],
     rm_peaks: [u64; 8],
     undo_depth_peak: u64,
-    pending_indirection: u64,
-    kernel_comps: [u64; Component::COUNT],
+    ledger: LedgerState,
     grafts: Vec<GraftSlot>,
     names: Vec<String>,
     all_latency: CycleHistogram,
@@ -580,24 +563,21 @@ pub struct MetricsState {
 
 /// The shared metrics plane handle (see module docs).
 ///
-/// Create once, wrap in `Rc`, attach with `Kernel::attach_metrics_plane`
-/// (or wire subsystems individually via their `set_metrics_plane`).
+/// Create once (it comes wrapped in `Rc`) and attach to a kernel's
+/// [`crate::obs::Observer`] with `Kernel::attach_metrics_plane`.
 #[derive(Debug)]
 pub struct MetricsPlane {
     clock: Rc<VirtualClock>,
-    counters: Cell<[u64; Counter::COUNT]>,
+    /// One cell per counter, so a bump touches only its own slot.
+    counters: [Cell<u64>; Counter::COUNT],
     /// Per-resource-kind high-water marks, indexed by
     /// `ResourceKind::index()`.
     rm_peaks: Cell<[u64; 8]>,
     /// Deepest undo stack observed.
     undo_depth_peak: Cell<u64>,
-    /// Dispatch charges awaiting the invocation they dispatch
-    /// ([`Component::Indirection`] recorded outside any bracket).
-    pending_indirection: Cell<u64>,
-    /// Charges recorded outside any invocation (kernel-side work).
-    kernel_comps: Cell<[u64; Component::COUNT]>,
-    frames: RefCell<[Frame; MAX_NEST]>,
-    depth: Cell<usize>,
+    /// The bracketed per-graft attribution (shared design with the
+    /// profile plane).
+    ledger: Ledger,
     grafts: RefCell<Vec<GraftSlot>>,
     names: RefCell<Vec<String>>,
     tags: RefCell<HashMap<String, MetricTag>>,
@@ -620,13 +600,10 @@ impl MetricsPlane {
     pub fn with_graft_capacity(clock: Rc<VirtualClock>, grafts: usize) -> Rc<MetricsPlane> {
         Rc::new(MetricsPlane {
             clock,
-            counters: Cell::new([0; Counter::COUNT]),
+            counters: std::array::from_fn(|_| Cell::new(0)),
             rm_peaks: Cell::new([0; 8]),
             undo_depth_peak: Cell::new(0),
-            pending_indirection: Cell::new(0),
-            kernel_comps: Cell::new([0; Component::COUNT]),
-            frames: RefCell::new([IDLE_FRAME; MAX_NEST]),
-            depth: Cell::new(0),
+            ledger: Ledger::with_capacity(grafts),
             grafts: RefCell::new(Vec::with_capacity(grafts)),
             names: RefCell::new(Vec::with_capacity(grafts)),
             tags: RefCell::new(HashMap::with_capacity(grafts)),
@@ -644,13 +621,11 @@ impl MetricsPlane {
     /// Panics if an invocation bracket is open — checkpoints are taken
     /// at quiesced instants only.
     pub fn export_state(&self) -> MetricsState {
-        assert_eq!(self.depth.get(), 0, "cannot checkpoint mid-invocation");
         MetricsState {
-            counters: self.counters.get(),
+            ledger: self.ledger.export(),
+            counters: std::array::from_fn(|i| self.counters[i].get()),
             rm_peaks: self.rm_peaks.get(),
             undo_depth_peak: self.undo_depth_peak.get(),
-            pending_indirection: self.pending_indirection.get(),
-            kernel_comps: self.kernel_comps.get(),
             grafts: self.grafts.borrow().clone(),
             names: self.names.borrow().clone(),
             all_latency: *self.all_latency.borrow(),
@@ -661,11 +636,12 @@ impl MetricsPlane {
     /// Replants a [`MetricsState`] capture: counters, gauges and ledgers
     /// resume exactly where the capture left them.
     pub fn restore_state(&self, st: &MetricsState) {
-        self.counters.set(st.counters);
+        for (cell, v) in self.counters.iter().zip(st.counters) {
+            cell.set(v);
+        }
         self.rm_peaks.set(st.rm_peaks);
         self.undo_depth_peak.set(st.undo_depth_peak);
-        self.pending_indirection.set(st.pending_indirection);
-        self.kernel_comps.set(st.kernel_comps);
+        self.ledger.restore(&st.ledger);
         *self.grafts.borrow_mut() = st.grafts.clone();
         *self.names.borrow_mut() = st.names.clone();
         let mut tags = self.tags.borrow_mut();
@@ -676,8 +652,6 @@ impl MetricsPlane {
         drop(tags);
         *self.all_latency.borrow_mut() = st.all_latency;
         *self.nic_port_drops.borrow_mut() = st.nic_port_drops.clone();
-        self.depth.set(0);
-        *self.frames.borrow_mut() = [IDLE_FRAME; MAX_NEST];
     }
 
     // -- interning ----------------------------------------------------------
@@ -693,6 +667,7 @@ impl MetricsPlane {
         let t = MetricTag(names.len() as u16);
         names.push(name.to_string());
         self.grafts.borrow_mut().push(GraftSlot::new());
+        self.ledger.add_graft();
         self.tags.borrow_mut().insert(name.to_string(), t);
         t
     }
@@ -706,9 +681,8 @@ impl MetricsPlane {
 
     /// Adds `n` to counter `c`. Zero-allocation.
     pub fn add(&self, c: Counter, n: u64) {
-        let mut v = self.counters.get();
-        v[c as usize] += n;
-        self.counters.set(v);
+        let cell = &self.counters[c as usize];
+        cell.set(cell.get() + n);
     }
 
     /// Increments counter `c`. Zero-allocation.
@@ -718,7 +692,7 @@ impl MetricsPlane {
 
     /// Current value of counter `c`.
     pub fn get(&self, c: Counter) -> u64 {
-        self.counters.get()[c as usize]
+        self.counters[c as usize].get()
     }
 
     /// Raises the high-water mark for resource kind `kind`
@@ -779,49 +753,26 @@ impl MetricsPlane {
     /// every other component is kernel-side work and lands in the
     /// kernel ledger ([`Self::kernel_attribution`]).
     pub fn charge(&self, c: Component, cost: Cycles) {
-        let d = self.depth.get();
-        if d > 0 {
-            self.frames.borrow_mut()[d - 1].comps[c as usize] += cost.get();
-        } else if c == Component::Indirection {
-            self.pending_indirection.set(self.pending_indirection.get() + cost.get());
-        } else {
-            let mut v = self.kernel_comps.get();
-            v[c as usize] += cost.get();
-            self.kernel_comps.set(v);
-        }
+        self.ledger.charge(c, cost);
     }
 
     /// Opens an invocation bracket for `tag`: starts the latency stamp,
     /// claims any pending dispatch charge, and counts the invocation.
     /// Zero-allocation.
     pub fn begin_invocation(&self, tag: MetricTag) {
-        let d = self.depth.get();
-        assert!(d < MAX_NEST, "metrics invocation nest deeper than MAX_NEST");
-        let mut frame = Frame { tag, start: self.clock.now(), comps: [0; Component::COUNT] };
-        frame.comps[Component::Indirection as usize] += self.pending_indirection.replace(0);
-        self.frames.borrow_mut()[d] = frame;
-        self.depth.set(d + 1);
+        self.ledger.begin(tag.0, self.clock.now());
         self.inc(Counter::GraftInvocations);
-        if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
-            slot.invocations += 1;
-        }
     }
 
     /// Closes the innermost invocation bracket: records latency, merges
     /// the frame's attribution into the graft ledger, and counts the
     /// outcome. Zero-allocation.
     pub fn end_invocation(&self, committed: bool) {
-        let d = self.depth.get();
-        assert!(d > 0, "end_invocation without begin_invocation");
-        self.depth.set(d - 1);
-        let frame = self.frames.borrow()[d - 1];
+        let frame = self.ledger.end();
         let latency = self.clock.now().saturating_sub(frame.start);
         self.all_latency.borrow_mut().record(latency);
         self.inc(if committed { Counter::GraftCommits } else { Counter::GraftAborts });
-        if let Some(slot) = self.grafts.borrow_mut().get_mut(frame.tag.0 as usize) {
-            for (total, add) in slot.comps.iter_mut().zip(frame.comps.iter()) {
-                *total += add;
-            }
+        if let Some(slot) = self.grafts.borrow_mut().get_mut(frame.tag as usize) {
             slot.latency.record(latency);
             if committed {
                 slot.commits += 1;
@@ -843,12 +794,7 @@ impl MetricsPlane {
     /// Flushes any unclaimed dispatch charge to the kernel ledger (the
     /// dispatch led nowhere).
     pub fn mark_fallback(&self, tag: MetricTag) {
-        let pending = self.pending_indirection.replace(0);
-        if pending > 0 {
-            let mut v = self.kernel_comps.get();
-            v[Component::Indirection as usize] += pending;
-            self.kernel_comps.set(v);
-        }
+        self.ledger.flush_pending();
         self.inc(Counter::GraftFallbacks);
         if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
             slot.fallbacks += 1;
@@ -875,15 +821,12 @@ impl MetricsPlane {
 
     /// The attribution ledger for `tag`, if interned.
     pub fn attribution(&self, tag: MetricTag) -> Option<Attribution> {
-        self.grafts
-            .borrow()
-            .get(tag.0 as usize)
-            .map(|s| Attribution { cycles: s.comps, invocations: s.invocations })
+        self.ledger.attribution(tag.0)
     }
 
     /// Cycles attributed to kernel-side work outside any invocation.
     pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.kernel_comps.get()
+        self.ledger.kernel()
     }
 
     /// Per-graft invocation-latency quantile (`num/den`), if any
@@ -938,9 +881,11 @@ impl MetricsPlane {
         let names = self.names.borrow();
         let grafts = self.grafts.borrow();
         out.push_str("# TYPE vino_graft_overhead_cycles_total counter\n");
-        for (i, slot) in grafts.iter().enumerate() {
+        for i in 0..grafts.len() {
+            let comps =
+                self.ledger.attribution(i as u16).map_or([0; Component::COUNT], |a| a.cycles);
             for c in Component::ALL {
-                let v = slot.comps[c as usize];
+                let v = comps[c as usize];
                 if v > 0 {
                     out.push_str(&format!(
                         "vino_graft_overhead_cycles_total{{graft=\"{}\",component=\"{}\"}} {v}\n",
@@ -1009,6 +954,7 @@ impl MetricsPlane {
             };
             let done = slot.commits + slot.aborts;
             let rate = if done == 0 { 0.0 } else { 100.0 * slot.aborts as f64 / done as f64 };
+            let invocations = self.ledger.attribution(i as u16).map_or(0, |a| a.invocations);
             let state = match slot.quarantined_until {
                 Some(until) if until > now => format!("quarantined@{}", until.get()),
                 _ => "ok".to_string(),
@@ -1016,7 +962,7 @@ impl MetricsPlane {
             out.push_str(&format!(
                 "{:<18} {:>7} {:>8} {:>8} {:>6.1} {:>9} {:>10}  {}\n",
                 names[i],
-                slot.invocations,
+                invocations,
                 slot.commits,
                 slot.aborts,
                 rate,

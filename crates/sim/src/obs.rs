@@ -1,0 +1,570 @@
+//! One observer per kernel: the single funnel every subsystem charges
+//! cycles and emits events through.
+//!
+//! A kernel (or, for engine-only worlds, a graft engine) owns one
+//! [`Observer`] and hands the same `Rc` to every subsystem at
+//! construction. The observer owns the virtual clock and five
+//! attach-once slots, one per observability plane (fault, trace,
+//! metrics, profile, watch). Attaching a plane fills its slot, and from
+//! then on every subsystem feeds it — there is no per-subsystem wiring.
+//!
+//! - [`charge`](Observer::charge) advances the clock and attributes the
+//!   cost to a [`Component`] in the metrics and profile ledgers: one
+//!   call where the clock, the metrics plane and the profile plane used
+//!   to be charged separately.
+//! - [`emit`](Observer::emit) records a [`TraceEvent`] and bumps its
+//!   counter twin wherever a [`Counter`] mirrors the event 1:1, so the
+//!   trace totals and the counters reconcile by construction.
+//! - [`install`](Observer::install) interns a graft's name in every
+//!   attached plane and returns its [`GraftTags`]; the
+//!   [`begin_invocation`](Observer::begin_invocation) /
+//!   [`end_invocation`](Observer::end_invocation) /
+//!   [`fallback`](Observer::fallback) brackets and the VM's
+//!   per-instruction calls ([`retire`](Observer::retire),
+//!   [`emit_as`](Observer::emit_as)) are gated on those tags, so a graft
+//!   installed before a plane attached never feeds it.
+//!
+//! Attaching a plane is observation, not perturbation: only
+//! [`charge`](Observer::charge) and [`retire`](Observer::retire) move
+//! the clock, and they move it identically with or without planes.
+
+use std::cell::{OnceCell, RefCell};
+use std::rc::Rc;
+
+use crate::clock::{Cycles, VirtualClock};
+use crate::fault::{FaultPlane, FaultSite};
+use crate::metrics::{Component, Counter, MetricTag, MetricsPlane};
+use crate::plane::AttachError;
+use crate::profile::{ProfTag, ProfilePlane, SpanKind};
+use crate::trace::{CauseCtx, GraftTag, SfiKind, ShedKind, TraceEvent, TracePlane, VerdictKind};
+use crate::watch::WatchPlane;
+
+/// What a graft saw attached when it was installed: its interned tag in
+/// each plane that was attached then, and whether the fault plane was.
+/// The VM and the invocation brackets feed exactly these planes for the
+/// graft's whole life.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GraftTags {
+    /// Trace-plane tag.
+    pub trace: Option<GraftTag>,
+    /// Metrics-plane tag.
+    pub metrics: Option<MetricTag>,
+    /// Profile-plane tag.
+    pub profile: Option<ProfTag>,
+    /// True when a fault plane was attached (the VM visits
+    /// [`FaultSite::VmTrap`] on every instruction).
+    pub fault: bool,
+}
+
+/// The per-kernel observer; see the module docs.
+#[derive(Debug)]
+pub struct Observer {
+    clock: Rc<VirtualClock>,
+    fault: OnceCell<Rc<FaultPlane>>,
+    trace: OnceCell<Rc<TracePlane>>,
+    metrics: OnceCell<Rc<MetricsPlane>>,
+    profile: OnceCell<Rc<ProfilePlane>>,
+    watch: OnceCell<Rc<WatchPlane>>,
+    /// Events [`emit_or_hold`](Self::emit_or_hold) parked until a trace
+    /// plane attaches.
+    held_events: RefCell<Vec<TraceEvent>>,
+    /// Counter twins parked until a metrics plane attaches.
+    held_counts: RefCell<Vec<Counter>>,
+}
+
+fn attach<T>(slot: &OnceCell<Rc<T>>, plane: Rc<T>) -> Result<(), AttachError> {
+    slot.set(plane).map_err(|_| AttachError::AlreadyAttached)
+}
+
+impl Observer {
+    /// An observer over `clock` with no plane attached.
+    pub fn new(clock: Rc<VirtualClock>) -> Rc<Observer> {
+        Rc::new(Observer {
+            clock,
+            fault: OnceCell::new(),
+            trace: OnceCell::new(),
+            metrics: OnceCell::new(),
+            profile: OnceCell::new(),
+            watch: OnceCell::new(),
+            held_events: RefCell::new(Vec::new()),
+            held_counts: RefCell::new(Vec::new()),
+        })
+    }
+
+    /// The virtual clock every charge advances.
+    #[inline]
+    pub fn clock(&self) -> &Rc<VirtualClock> {
+        &self.clock
+    }
+
+    // -- attach (each slot fills once) --------------------------------------
+
+    /// Attaches the fault plane. A second attach is refused.
+    pub fn attach_fault(&self, plane: Rc<FaultPlane>) -> Result<(), AttachError> {
+        attach(&self.fault, plane)
+    }
+
+    /// Attaches the trace plane and replays the events held for it. If
+    /// a watch plane is already attached it does *not* start mirroring
+    /// alerts: the mirror is set up when the watch plane attaches.
+    pub fn attach_trace(&self, plane: Rc<TracePlane>) -> Result<(), AttachError> {
+        attach(&self.trace, Rc::clone(&plane))?;
+        for ev in self.held_events.borrow_mut().drain(..) {
+            plane.emit(ev);
+        }
+        Ok(())
+    }
+
+    /// Attaches the metrics plane and replays the counts held for it.
+    pub fn attach_metrics(&self, plane: Rc<MetricsPlane>) -> Result<(), AttachError> {
+        attach(&self.metrics, Rc::clone(&plane))?;
+        for c in self.held_counts.borrow_mut().drain(..) {
+            plane.inc(c);
+        }
+        Ok(())
+    }
+
+    /// Attaches the profile plane.
+    pub fn attach_profile(&self, plane: Rc<ProfilePlane>) -> Result<(), AttachError> {
+        attach(&self.profile, plane)
+    }
+
+    /// Attaches the watch plane. With a trace plane already attached,
+    /// alert edges are mirrored into it as `watch.*` events (and the
+    /// rule names are interned there now).
+    pub fn attach_watch(&self, plane: Rc<WatchPlane>) -> Result<(), AttachError> {
+        attach(&self.watch, Rc::clone(&plane))?;
+        if let Some(tp) = self.trace() {
+            plane.set_trace_plane(Rc::clone(tp));
+        }
+        Ok(())
+    }
+
+    /// The attached fault plane.
+    #[inline]
+    pub fn fault(&self) -> Option<&Rc<FaultPlane>> {
+        self.fault.get()
+    }
+
+    /// The attached trace plane.
+    #[inline]
+    pub fn trace(&self) -> Option<&Rc<TracePlane>> {
+        self.trace.get()
+    }
+
+    /// The attached metrics plane.
+    #[inline]
+    pub fn metrics(&self) -> Option<&Rc<MetricsPlane>> {
+        self.metrics.get()
+    }
+
+    /// The attached profile plane.
+    #[inline]
+    pub fn profile(&self) -> Option<&Rc<ProfilePlane>> {
+        self.profile.get()
+    }
+
+    /// The attached watch plane.
+    #[inline]
+    pub fn watch(&self) -> Option<&Rc<WatchPlane>> {
+        self.watch.get()
+    }
+
+    // -- the hot path (zero allocations) ------------------------------------
+
+    /// Charges `cost` to the clock and attributes it to component `c`
+    /// in the metrics and profile ledgers.
+    #[inline]
+    pub fn charge(&self, c: Component, cost: Cycles) {
+        self.clock.charge(cost);
+        if let Some(mp) = self.metrics() {
+            mp.charge(c, cost);
+        }
+        if let Some(pp) = self.profile() {
+            pp.charge(c, cost);
+        }
+    }
+
+    /// Records `ev` and bumps its counter twin.
+    #[inline]
+    pub fn emit(&self, ev: TraceEvent) {
+        if let Some(tp) = self.trace() {
+            tp.emit(ev);
+        }
+        self.count_twin(ev);
+    }
+
+    /// [`emit`](Self::emit) under an explicit causal context.
+    #[inline]
+    pub fn emit_with_ctx(&self, ev: TraceEvent, ctx: CauseCtx) {
+        if let Some(tp) = self.trace() {
+            tp.emit_with_ctx(ev, ctx);
+        }
+        self.count_twin(ev);
+    }
+
+    #[inline]
+    fn count_twin(&self, ev: TraceEvent) {
+        if let Some(mp) = self.metrics() {
+            if let Some(c) = counter_twin(&ev) {
+                mp.inc(c);
+            }
+        }
+    }
+
+    /// Bumps a counter that has no trace twin.
+    #[inline]
+    pub fn inc(&self, c: Counter) {
+        self.add(c, 1);
+    }
+
+    /// Adds `n` to a counter that has no trace twin.
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        if let Some(mp) = self.metrics() {
+            mp.add(c, n);
+        }
+    }
+
+    /// Visits fault site `site`; true when an injected fault fires.
+    #[inline]
+    pub fn fire(&self, site: FaultSite) -> bool {
+        self.fault().is_some_and(|fp| fp.fire(site))
+    }
+
+    /// Records a profile span of `kind` that just finished and lasted
+    /// `dur`.
+    #[inline]
+    pub fn mark(&self, kind: SpanKind, dur: Cycles) {
+        if let Some(pp) = self.profile() {
+            pp.mark(kind, dur);
+        }
+    }
+
+    /// Records a profile span of `kind` from `t0` to now.
+    #[inline]
+    pub fn mark_since(&self, kind: SpanKind, t0: Cycles) {
+        if let Some(pp) = self.profile() {
+            pp.mark_since(kind, t0);
+        }
+    }
+
+    /// Emits a mount-time event: to the planes attached now, and held
+    /// for the ones that attach later (recovery runs before any plane
+    /// can be attached).
+    pub fn emit_or_hold(&self, ev: TraceEvent) {
+        match self.trace() {
+            Some(tp) => tp.emit(ev),
+            None => self.held_events.borrow_mut().push(ev),
+        }
+        if let Some(c) = counter_twin(&ev) {
+            match self.metrics() {
+                Some(mp) => mp.inc(c),
+                None => self.held_counts.borrow_mut().push(c),
+            }
+        }
+    }
+
+    // -- per-graft: install-time tags gate everything below -----------------
+
+    /// Interns graft `name` in every attached plane, announces the
+    /// install, and pre-sizes the profile's per-PC arrays for a
+    /// `prog_len`-instruction program. Install time: may allocate.
+    pub fn install(&self, name: &str, prog_len: usize) -> GraftTags {
+        let trace = self.trace().map(|tp| {
+            let tag = tp.tag(name);
+            tp.emit(TraceEvent::GraftInstall { graft: tag });
+            tag
+        });
+        let metrics = self.metrics().map(|mp| {
+            let tag = mp.tag(name);
+            mp.mark_install(tag);
+            tag
+        });
+        let profile = self.profile().map(|pp| {
+            let tag = pp.tag(name);
+            pp.register_program(tag, prog_len);
+            tag
+        });
+        GraftTags { trace, metrics, profile, fault: self.fault().is_some() }
+    }
+
+    /// Opens an invocation bracket: `graft.invoke`, the metrics
+    /// latency stamp and the profile span.
+    #[inline]
+    pub fn begin_invocation(&self, tags: &GraftTags) {
+        if let (Some(tag), Some(tp)) = (tags.trace, self.trace()) {
+            tp.emit(TraceEvent::GraftInvoke { graft: tag });
+        }
+        if let (Some(tag), Some(mp)) = (tags.metrics, self.metrics()) {
+            mp.begin_invocation(tag);
+        }
+        if let (Some(tag), Some(pp)) = (tags.profile, self.profile()) {
+            pp.begin_invocation(tag);
+        }
+    }
+
+    /// Closes the innermost invocation bracket. A commit also emits
+    /// `graft.commit`; an abort's `graft.abort` carries its cause, so
+    /// the caller emits it ([`emit_as`](Self::emit_as)).
+    #[inline]
+    pub fn end_invocation(&self, tags: &GraftTags, committed: bool) {
+        if committed {
+            if let (Some(tag), Some(tp)) = (tags.trace, self.trace()) {
+                tp.emit(TraceEvent::GraftCommit { graft: tag });
+            }
+        }
+        if let Some(mp) = tags.metrics.and(self.metrics()) {
+            mp.end_invocation(committed);
+        }
+        if let Some(pp) = tags.profile.and(self.profile()) {
+            pp.end_invocation(committed);
+        }
+    }
+
+    /// Records a dead-graft invocation served by the fallback path; an
+    /// unclaimed dispatch charge goes to the kernel ledger.
+    pub fn fallback(&self, tags: &GraftTags) {
+        if let (Some(tag), Some(tp)) = (tags.trace, self.trace()) {
+            tp.emit(TraceEvent::FallbackServed { graft: tag });
+        }
+        if let (Some(tag), Some(mp)) = (tags.metrics, self.metrics()) {
+            mp.mark_fallback(tag);
+        }
+        if let Some(pp) = tags.profile.and(self.profile()) {
+            pp.mark_fallback();
+        }
+    }
+
+    /// The tags graft `name` has in the planes attached *now*, interning
+    /// it where needed (off the hot path). For fallbacks raised outside
+    /// the graft instance, such as a dead packet filter.
+    pub fn tags_of(&self, name: &str) -> GraftTags {
+        GraftTags {
+            trace: self.trace().map(|tp| tp.tag(name)),
+            metrics: self.metrics().map(|mp| mp.tag(name)),
+            profile: self.profile().map(|pp| pp.tag(name)),
+            fault: self.fault().is_some(),
+        }
+    }
+
+    /// Records a quarantine trip for graft `name` until `until`.
+    pub fn quarantine(&self, name: &str, until: Cycles) {
+        if let Some(tp) = self.trace() {
+            let tag = tp.tag(name);
+            tp.emit(TraceEvent::GraftQuarantine { graft: tag, until: until.get() });
+        }
+        if let Some(mp) = self.metrics() {
+            mp.quarantine(name, until);
+        }
+    }
+
+    /// One retired GraftVM instruction at `pc`: charges the clock and
+    /// bills `cost` to component `c` in the planes `tags` names.
+    #[inline]
+    pub fn retire(&self, tags: &GraftTags, pc: usize, c: Component, cost: Cycles) {
+        self.clock.charge(cost);
+        if tags.metrics.is_some() {
+            if let Some(mp) = self.metrics() {
+                mp.charge(c, cost);
+            }
+        }
+        if let Some(tag) = tags.profile {
+            if let Some(pp) = self.profile() {
+                pp.record_pc(tag, pc, c, cost);
+            }
+        }
+    }
+
+    /// [`emit`](Self::emit) gated on a graft's install-time tags: the
+    /// event reaches the trace plane only if `tags` has a trace tag,
+    /// its counter twin only if `tags` has a metrics tag.
+    #[inline]
+    pub fn emit_as(&self, tags: &GraftTags, ev: TraceEvent) {
+        if let Some(tp) = tags.trace.and(self.trace()) {
+            tp.emit(ev);
+        }
+        if tags.metrics.is_some() {
+            self.count_twin(ev);
+        }
+    }
+
+    /// [`add`](Self::add) gated on a graft's install-time metrics tag.
+    #[inline]
+    pub fn add_as(&self, tags: &GraftTags, c: Counter, n: u64) {
+        if tags.metrics.is_some() {
+            self.add(c, n);
+        }
+    }
+
+    /// [`fire`](Self::fire) gated on a graft's install-time fault flag.
+    #[inline]
+    pub fn fire_as(&self, tags: &GraftTags, site: FaultSite) -> bool {
+        tags.fault && self.fire(site)
+    }
+}
+
+/// The counter that mirrors `ev` one to one, if any. Graft-lifecycle
+/// events have none here: their counters are bumped by the invocation
+/// brackets, gated on the graft's install-time tags.
+fn counter_twin(ev: &TraceEvent) -> Option<Counter> {
+    use TraceEvent::*;
+    Some(match ev {
+        VmWindow { .. } => Counter::VmWindows,
+        SfiCheck { kind: SfiKind::Clamp, .. } => Counter::SfiClamps,
+        SfiCheck { kind: SfiKind::CheckCall, .. } => Counter::SfiCallchecks,
+        TxnBegin { .. } => Counter::TxnBegins,
+        TxnCommit { nested: false, .. } => Counter::TxnCommits,
+        TxnCommit { nested: true, .. } => Counter::TxnNestedCommits,
+        TxnAbort { .. } => Counter::TxnAborts,
+        LockAcquire { .. } => Counter::TxnLockAcquires,
+        LockBlocked { .. } => Counter::LockWaits,
+        LockTimeout { .. } => Counter::LockTimeouts,
+        LockSteal { .. } => Counter::LockSteals,
+        UndoPush { .. } => Counter::UndoPushes,
+        UndoRun { .. } => Counter::UndoRuns,
+        ResGrant { .. } => Counter::RmGrants,
+        ResRelease { .. } => Counter::RmReleases,
+        ResLimitHit { .. } => Counter::RmDenials,
+        FsRead { .. } => Counter::FsReads,
+        FsWrite { .. } => Counter::FsWrites,
+        FsPrefetch { .. } => Counter::FsPrefetches,
+        FsJournalAppend { .. } => Counter::FsJournalAppends,
+        FsJournalCommit { .. } => Counter::FsJournalCommits,
+        FsCheckpoint { .. } => Counter::FsCheckpoints,
+        FsRecoveryReplay { .. } => Counter::FsRecoveryReplays,
+        FsRecoveryDiscard { .. } => Counter::FsRecoveryDiscards,
+        NetRx { .. } => Counter::NetRxPackets,
+        NetShed { kind: ShedKind::Overflow, .. } => Counter::NetRxOverflows,
+        NetShed { kind: ShedKind::Watermark, .. } => Counter::NetRxSheds,
+        NetVerdict { verdict: VerdictKind::Accept, .. } => Counter::NetAccepts,
+        NetVerdict { verdict: VerdictKind::Drop, .. } => Counter::NetDrops,
+        NetVerdict { verdict: VerdictKind::Steer, .. } => Counter::NetSteers,
+        NetSteer { .. } => Counter::NetSteerHops,
+        NetLoopCut { .. } => Counter::NetLoopCuts,
+        NetBatch { .. } => Counter::NetBatchDispatches,
+        AdmissionAllow { .. } => Counter::AdmissionAllows,
+        AdmissionDeny { .. } => Counter::AdmissionDenies,
+        ReplShip { .. } => Counter::ReplShips,
+        ReplAck { .. } => Counter::ReplAcks,
+        ReplApply { .. } => Counter::ReplApplies,
+        ReplFrameDrop { .. } => Counter::ReplFrameDrops,
+        ReplPromote { .. } => Counter::ReplPromotions,
+        GraftInstall { .. }
+        | GraftInvoke { .. }
+        | GraftCommit { .. }
+        | GraftAbort { .. }
+        | GraftQuarantine { .. }
+        | FallbackServed { .. }
+        | WatchAlertFiring { .. }
+        | WatchAlertResolved { .. } => return None,
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn observer() -> Rc<Observer> {
+        Observer::new(VirtualClock::new())
+    }
+
+    #[test]
+    fn every_slot_attaches_once() {
+        let obs = observer();
+        let clock = Rc::clone(obs.clock());
+        assert_eq!(obs.attach_fault(FaultPlane::seeded(1)), Ok(()));
+        assert_eq!(obs.attach_fault(FaultPlane::seeded(2)), Err(AttachError::AlreadyAttached));
+        let tp = TracePlane::new(Rc::clone(&clock));
+        assert_eq!(obs.attach_trace(Rc::clone(&tp)), Ok(()));
+        assert_eq!(obs.attach_trace(tp), Err(AttachError::AlreadyAttached));
+        let mp = MetricsPlane::new(Rc::clone(&clock));
+        assert_eq!(obs.attach_metrics(Rc::clone(&mp)), Ok(()));
+        assert_eq!(obs.attach_metrics(mp), Err(AttachError::AlreadyAttached));
+        let pp = ProfilePlane::new(Rc::clone(&clock));
+        assert_eq!(obs.attach_profile(Rc::clone(&pp)), Ok(()));
+        assert_eq!(obs.attach_profile(pp), Err(AttachError::AlreadyAttached));
+        let wp = WatchPlane::new(Rc::clone(&clock));
+        assert_eq!(obs.attach_watch(Rc::clone(&wp)), Ok(()));
+        assert_eq!(obs.attach_watch(wp), Err(AttachError::AlreadyAttached));
+    }
+
+    #[test]
+    fn emit_derives_the_counter_twin() {
+        let obs = observer();
+        // No plane attached: a no-op, not an error.
+        obs.emit(TraceEvent::FsRead { fd: 3, len: 1 });
+        let tp = TracePlane::new(Rc::clone(obs.clock()));
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_trace(Rc::clone(&tp)).unwrap();
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        obs.emit(TraceEvent::FsRead { fd: 3, len: 1 });
+        obs.emit(TraceEvent::TxnCommit { thread: 1, txn: 0, nested: true, locks: 0 });
+        obs.emit(TraceEvent::GraftInvoke { graft: GraftTag(0) });
+        assert_eq!(tp.stats().total, 3);
+        assert_eq!(mp.get(Counter::FsReads), 1);
+        assert_eq!(mp.get(Counter::TxnNestedCommits), 1);
+        assert_eq!(mp.get(Counter::TxnCommits), 0);
+        assert_eq!(mp.get(Counter::GraftInvocations), 0, "brackets own graft counters");
+    }
+
+    #[test]
+    fn charge_moves_the_clock_and_both_ledgers_alike() {
+        let obs = observer();
+        obs.charge(Component::Lock, Cycles(7));
+        assert_eq!(obs.clock().now(), Cycles(7), "charging without planes still advances time");
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        let pp = ProfilePlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        let tags = obs.install("g", 4);
+        obs.charge(Component::Indirection, Cycles(120));
+        obs.begin_invocation(&tags);
+        obs.charge(Component::TxnBegin, Cycles(36));
+        obs.retire(&tags, 0, Component::GraftFn, Cycles(1));
+        obs.end_invocation(&tags, true);
+        let ma = mp.attribution(tags.metrics.unwrap()).unwrap();
+        assert_eq!(ma, pp.attribution(tags.profile.unwrap()).unwrap());
+        assert_eq!(ma.total(), Cycles(157));
+        assert_eq!(obs.clock().now(), Cycles(164));
+    }
+
+    #[test]
+    fn held_events_replay_when_planes_attach() {
+        let obs = observer();
+        obs.emit_or_hold(TraceEvent::FsRecoveryReplay { seq: 4, blocks: 2 });
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        assert_eq!(mp.get(Counter::FsRecoveryReplays), 1);
+        let tp = TracePlane::new(Rc::clone(obs.clock()));
+        obs.attach_trace(Rc::clone(&tp)).unwrap();
+        let evs: Vec<TraceEvent> = tp.records().iter().map(|r| r.event).collect();
+        assert_eq!(evs, vec![TraceEvent::FsRecoveryReplay { seq: 4, blocks: 2 }]);
+        assert_eq!(mp.get(Counter::FsRecoveryReplays), 1, "replayed once, not twice");
+    }
+
+    #[test]
+    fn tags_taken_before_an_attach_never_feed_the_later_plane() {
+        let obs = observer();
+        let early = obs.install("early", 4);
+        assert_eq!(early, GraftTags::default());
+        let tp = TracePlane::new(Rc::clone(obs.clock()));
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_trace(Rc::clone(&tp)).unwrap();
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        obs.attach_fault(FaultPlane::seeded(0)).unwrap();
+        obs.fault().unwrap().set_rate(FaultSite::VmTrap, 1, 1);
+        obs.retire(&early, 0, Component::GraftFn, Cycles(1));
+        obs.emit_as(&early, TraceEvent::VmWindow { instrs: 1, exit: crate::VmExitKind::Halt });
+        obs.add_as(&early, Counter::VmInstrs, 1);
+        assert!(!obs.fire_as(&early, FaultSite::VmTrap));
+        assert_eq!(obs.clock().now(), Cycles(1), "the clock is still charged");
+        assert_eq!(tp.stats().total, 0);
+        assert_eq!(mp.get(Counter::VmWindows) + mp.get(Counter::VmInstrs), 0);
+        assert_eq!(mp.kernel_attribution(), [0; Component::COUNT]);
+        let late = obs.install("late", 4);
+        obs.emit_as(&late, TraceEvent::VmWindow { instrs: 1, exit: crate::VmExitKind::Halt });
+        assert!(obs.fire_as(&late, FaultSite::VmTrap));
+        assert_eq!(mp.get(Counter::VmWindows), 1);
+    }
+}

@@ -1,21 +1,39 @@
-//! Shared observability-plane plumbing.
+//! The attach contract shared by the five observability planes.
 //!
-//! Every observability plane (fault, trace, metrics, profile) follows
-//! the same attach contract: a single shared `Rc` handle is wired
-//! through the subsystems exactly once, and a second attach is refused
-//! so two planes can never interleave records on the same sites. The
-//! kernel used to re-implement the "already attached" flag per plane;
-//! this module centralises the error type and the one-shot slot so new
-//! planes get the contract for free.
+//! There are five planes: fault (injection schedule), trace (event
+//! stream and flight recorder), metrics (counters, histograms and the
+//! attribution ledger), profile (per-PC billing and span trees) and
+//! watch (sliding-window SLOs and alerts).
+//!
+//! # Attaching an observer
+//!
+//! Subsystems never hold a plane. Each kernel owns one
+//! [`crate::obs::Observer`], and every subsystem receives that `Rc` at
+//! construction: the VM, the transaction manager, the resource
+//! accountant, the file system and its disk, the NIC, the MiSFIT tool,
+//! the graft engine and its reliability manager, and the packet and
+//! replication planes built on the kernel. A plane is attached by
+//! filling the observer's slot for its kind (`Kernel::attach_*_plane`
+//! is one call to `Observer::attach_*`), after which every subsystem
+//! feeds it. Each slot fills once: a second attach returns
+//! [`AttachError::AlreadyAttached`], so two planes can never split one
+//! kind of record stream.
+//!
+//! Two orderings are part of the contract:
+//!
+//! - A graft binds the planes attached when it is *installed*
+//!   ([`crate::obs::GraftTags`]). Its VM attribution, per-PC billing,
+//!   `vm.*` events, `VmTrap` fault visits and invocation brackets go
+//!   only to those planes, even after more planes attach.
+//! - A watch plane mirrors its alert edges into the trace plane only
+//!   if the trace plane was attached first.
 
-use std::cell::Cell;
 use std::fmt;
 
-/// Errors from `Kernel::attach_*_plane`.
+/// Errors from `Kernel::attach_*_plane` and `Observer::attach_*`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AttachError {
-    /// A plane of this kind is already attached. Planes are wired
-    /// through every subsystem at attach time; swapping one mid-run
+    /// A plane of this kind is already attached. Swapping one mid-run
     /// would split the record stream across two planes.
     AlreadyAttached,
 }
@@ -30,51 +48,9 @@ impl fmt::Display for AttachError {
 
 impl std::error::Error for AttachError {}
 
-/// A one-shot attach slot: the first [`claim`](AttachSlot::claim) wins,
-/// every later claim reports [`AttachError::AlreadyAttached`].
-///
-/// The slot only records *that* a plane was attached — the handle
-/// itself lives wherever the subsystems were wired — so it stays a
-/// single `Cell<bool>` and works from `&self` attach methods.
-#[derive(Debug, Default)]
-pub struct AttachSlot {
-    taken: Cell<bool>,
-}
-
-impl AttachSlot {
-    /// An unclaimed slot.
-    pub const fn new() -> AttachSlot {
-        AttachSlot { taken: Cell::new(false) }
-    }
-
-    /// Claims the slot; errors if it was already claimed.
-    pub fn claim(&self) -> Result<(), AttachError> {
-        if self.taken.replace(true) {
-            Err(AttachError::AlreadyAttached)
-        } else {
-            Ok(())
-        }
-    }
-
-    /// True once a plane has been attached.
-    pub fn is_claimed(&self) -> bool {
-        self.taken.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_claim_wins() {
-        let slot = AttachSlot::new();
-        assert!(!slot.is_claimed());
-        assert_eq!(slot.claim(), Ok(()));
-        assert!(slot.is_claimed());
-        assert_eq!(slot.claim(), Err(AttachError::AlreadyAttached));
-        assert_eq!(slot.claim(), Err(AttachError::AlreadyAttached));
-    }
 
     #[test]
     fn error_displays() {

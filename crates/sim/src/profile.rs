@@ -33,11 +33,11 @@
 //! - **Deterministic.** Driven entirely by the virtual clock, so two
 //!   same-seed runs render byte-identical output
 //!   (`tests/profile_golden.rs`, `tests/survival.rs`).
-//! - **Reconciles with the metrics ledger.** The plane is fed from
-//!   exactly the same billing sites with the same bracket semantics as
-//!   [`crate::metrics::MetricsPlane::charge`], so per-component sums
-//!   agree *exactly* with the Table-3 attribution (asserted in
-//!   `crates/bench/src/table3.rs`).
+//! - **Reconciles with the metrics ledger.** The plane embeds the same
+//!   bracketed attribution ledger as [`crate::metrics::MetricsPlane`]
+//!   and is fed by the same [`crate::obs::Observer`] charges, so
+//!   per-component sums agree *exactly* with the Table-3 attribution
+//!   (asserted in `crates/bench/src/table3.rs`).
 //!
 //! Recording a profile never charges the clock: attaching a profile
 //! plane is observation, not perturbation.
@@ -48,6 +48,7 @@ use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
+use crate::ledger::Ledger;
 use crate::metrics::{Attribution, Component};
 
 /// Interned graft-name handle, the profile twin of
@@ -55,10 +56,6 @@ use crate::metrics::{Attribution, Component};
 /// every hot-path call passes the `Copy` tag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProfTag(pub u16);
-
-/// Maximum concurrently bracketed invocations, matching the metrics
-/// plane's nest bound.
-const MAX_NEST: usize = 16;
 
 /// Default span-buffer capacity; overflow is dropped and counted.
 const DEFAULT_SPAN_CAP: usize = 4096;
@@ -175,11 +172,6 @@ struct GraftProf {
     pc_sfi: Vec<u64>,
     /// Instructions retired at each pc.
     pc_hits: Vec<u64>,
-    /// Attributed cycles per component, merged at end-of-invocation —
-    /// the mirror of the metrics ledger.
-    comps: [u64; Component::COUNT],
-    /// Invocations bracketed for this graft.
-    invocations: u64,
     /// Instructions retired across all invocations.
     instrs: u64,
     /// Call-tree nodes; `nodes[0]` is the root.
@@ -199,8 +191,6 @@ impl GraftProf {
             pc_cycles: Vec::new(),
             pc_sfi: Vec::new(),
             pc_hits: Vec::new(),
-            comps: [0; Component::COUNT],
-            invocations: 0,
             instrs: 0,
             nodes: vec![Node { parent: u32::MAX, entry: 0, cycles: 0, sfi: 0, enters: 0 }],
             edges: HashMap::new(),
@@ -209,17 +199,6 @@ impl GraftProf {
         }
     }
 }
-
-/// One open invocation bracket on the fixed-depth stack.
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    tag: ProfTag,
-    start: Cycles,
-    comps: [u64; Component::COUNT],
-}
-
-const IDLE_FRAME: Frame =
-    Frame { tag: ProfTag(u16::MAX), start: Cycles(0), comps: [0; Component::COUNT] };
 
 /// One row of the hot-function report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -242,21 +221,17 @@ pub struct HotFn {
 
 /// The shared profiling plane handle (see module docs).
 ///
-/// Create once, wrap in `Rc`, attach with `Kernel::attach_profile_plane`
-/// (or wire subsystems individually via their `set_profile_plane`).
+/// Create once (it comes wrapped in `Rc`) and attach to a kernel's
+/// [`crate::obs::Observer`] with `Kernel::attach_profile_plane`.
 #[derive(Debug)]
 pub struct ProfilePlane {
     clock: Rc<VirtualClock>,
     grafts: RefCell<Vec<GraftProf>>,
     names: RefCell<Vec<String>>,
     tags: RefCell<HashMap<String, ProfTag>>,
-    frames: RefCell<[Frame; MAX_NEST]>,
-    depth: Cell<usize>,
-    /// Dispatch charges awaiting the invocation they dispatch (mirrors
-    /// the metrics plane's pending-indirection rule).
-    pending_indirection: Cell<u64>,
-    /// Charges recorded outside any invocation (kernel-side work).
-    kernel_comps: Cell<[u64; Component::COUNT]>,
+    /// The bracketed per-graft attribution (shared design with the
+    /// metrics plane).
+    ledger: Ledger,
     spans: RefCell<Vec<Span>>,
     span_cap: usize,
     spans_dropped: Cell<u64>,
@@ -277,10 +252,7 @@ impl ProfilePlane {
             grafts: RefCell::new(Vec::with_capacity(grafts)),
             names: RefCell::new(Vec::with_capacity(grafts)),
             tags: RefCell::new(HashMap::with_capacity(grafts)),
-            frames: RefCell::new([IDLE_FRAME; MAX_NEST]),
-            depth: Cell::new(0),
-            pending_indirection: Cell::new(0),
-            kernel_comps: Cell::new([0; Component::COUNT]),
+            ledger: Ledger::with_capacity(grafts),
             spans: RefCell::new(Vec::with_capacity(spans)),
             span_cap: spans,
             spans_dropped: Cell::new(0),
@@ -299,6 +271,7 @@ impl ProfilePlane {
         let t = ProfTag(names.len() as u16);
         names.push(name.to_string());
         self.grafts.borrow_mut().push(GraftProf::new());
+        self.ledger.add_graft();
         self.tags.borrow_mut().insert(name.to_string(), t);
         t
     }
@@ -324,26 +297,13 @@ impl ProfilePlane {
 
     // -- hot-path recording -------------------------------------------------
 
-    fn charge_bracketed(&self, c: Component, cost: Cycles) {
-        let d = self.depth.get();
-        if d > 0 {
-            self.frames.borrow_mut()[d - 1].comps[c as usize] += cost.get();
-        } else if c == Component::Indirection {
-            self.pending_indirection.set(self.pending_indirection.get() + cost.get());
-        } else {
-            let mut v = self.kernel_comps.get();
-            v[c as usize] += cost.get();
-            self.kernel_comps.set(v);
-        }
-    }
-
     /// Attributes a host-side `cost` to component `c` of the innermost
     /// open invocation, with exactly the bracket semantics of
     /// [`crate::metrics::MetricsPlane::charge`] — pending indirection
     /// and the kernel ledger included — so the two planes reconcile.
     /// Zero-allocation.
     pub fn charge(&self, c: Component, cost: Cycles) {
-        self.charge_bracketed(c, cost);
+        self.ledger.charge(c, cost);
     }
 
     /// Bills one retired instruction: `cost` cycles of component `c`
@@ -352,7 +312,7 @@ impl ProfilePlane {
     /// Updates the per-PC ledger, the current call-tree node, and the
     /// bracketed component attribution. Zero-allocation.
     pub fn record_pc(&self, tag: ProfTag, pc: usize, c: Component, cost: Cycles) {
-        self.charge_bracketed(c, cost);
+        self.ledger.charge(c, cost);
         let mut grafts = self.grafts.borrow_mut();
         let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
         g.instrs += 1;
@@ -413,15 +373,9 @@ impl ProfilePlane {
     /// dispatch charge, stamps the span start, and rewinds the call
     /// stack. Zero-allocation.
     pub fn begin_invocation(&self, tag: ProfTag) {
-        let d = self.depth.get();
-        assert!(d < MAX_NEST, "profile invocation nest deeper than MAX_NEST");
-        let mut frame = Frame { tag, start: self.clock.now(), comps: [0; Component::COUNT] };
-        frame.comps[Component::Indirection as usize] += self.pending_indirection.replace(0);
-        self.frames.borrow_mut()[d] = frame;
-        self.depth.set(d + 1);
+        self.ledger.begin(tag.0, self.clock.now());
         let mut grafts = self.grafts.borrow_mut();
         if let Some(g) = grafts.get_mut(tag.0 as usize) {
-            g.invocations += 1;
             g.stack.clear();
             g.cur = ROOT;
         }
@@ -431,19 +385,11 @@ impl ProfilePlane {
     /// attribution into the graft ledger and records the invocation
     /// span. Zero-allocation (the span buffer is pre-sized).
     pub fn end_invocation(&self, committed: bool) {
-        let d = self.depth.get();
-        assert!(d > 0, "end_invocation without begin_invocation");
-        self.depth.set(d - 1);
-        let frame = self.frames.borrow()[d - 1];
-        if let Some(g) = self.grafts.borrow_mut().get_mut(frame.tag.0 as usize) {
-            for (total, add) in g.comps.iter_mut().zip(frame.comps.iter()) {
-                *total += add;
-            }
-        }
+        let frame = self.ledger.end();
         let now = self.clock.now();
         self.push_span(Span {
             kind: SpanKind::Invocation,
-            tag: frame.tag.0,
+            tag: frame.tag,
             start: frame.start,
             dur: now.saturating_sub(frame.start),
             aborted: !committed,
@@ -454,12 +400,7 @@ impl ProfilePlane {
     /// flushes any unclaimed dispatch charge to the kernel ledger
     /// (mirroring the metrics plane).
     pub fn mark_fallback(&self) {
-        let pending = self.pending_indirection.replace(0);
-        if pending > 0 {
-            let mut v = self.kernel_comps.get();
-            v[Component::Indirection as usize] += pending;
-            self.kernel_comps.set(v);
-        }
+        self.ledger.flush_pending();
     }
 
     /// Records a child span of `kind` that just finished and lasted
@@ -490,12 +431,7 @@ impl ProfilePlane {
     }
 
     fn current_tag(&self) -> u16 {
-        let d = self.depth.get();
-        if d > 0 {
-            self.frames.borrow()[d - 1].tag.0
-        } else {
-            u16::MAX
-        }
+        self.ledger.current_tag().unwrap_or(u16::MAX)
     }
 
     fn push_span(&self, span: Span) {
@@ -519,15 +455,12 @@ impl ProfilePlane {
     /// [`crate::metrics::MetricsPlane::attribution`] for the same
     /// graft.
     pub fn attribution(&self, tag: ProfTag) -> Option<Attribution> {
-        self.grafts
-            .borrow()
-            .get(tag.0 as usize)
-            .map(|g| Attribution { cycles: g.comps, invocations: g.invocations })
+        self.ledger.attribution(tag.0)
     }
 
     /// Cycles attributed to kernel-side work outside any invocation.
     pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.kernel_comps.get()
+        self.ledger.kernel()
     }
 
     /// Instructions retired by `tag`.
@@ -600,7 +533,7 @@ impl ProfilePlane {
                     continue;
                 }
                 if entry == 0 {
-                    calls = g.invocations;
+                    calls = self.ledger.attribution(gi as u16).map_or(0, |a| a.invocations);
                 }
                 merged.push(HotFn {
                     graft: names[gi].clone(),
@@ -634,12 +567,14 @@ impl ProfilePlane {
         let mut out = String::new();
         for (gi, g) in grafts.iter().enumerate() {
             let name = &names[gi];
+            let comps =
+                self.ledger.attribution(gi as u16).map_or([0; Component::COUNT], |a| a.cycles);
             // Host-side envelope components as single synthetic frames.
             for c in Component::ALL {
                 if c == Component::GraftFn || c == Component::Sfi {
                     continue;
                 }
-                let v = g.comps[c as usize];
+                let v = comps[c as usize];
                 if v > 0 {
                     let _ = writeln!(out, "{name};[{}] {v}", c.label());
                 }
@@ -677,7 +612,7 @@ impl ProfilePlane {
                 }
             }
         }
-        let kernel = self.kernel_comps.get();
+        let kernel = self.ledger.kernel();
         for c in Component::ALL {
             let v = kernel[c as usize];
             if v > 0 {

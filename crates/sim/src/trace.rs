@@ -18,9 +18,9 @@
 //! flight recorder of `docs/TRACING.md`.
 //!
 //! Like [`crate::fault::FaultPlane`], the plane is passive and shared
-//! behind `Rc` with interior mutability; subsystems thread a handle via
-//! their `set_trace_plane` methods and the kernel wires everything with
-//! one `attach_trace_plane` call.
+//! behind `Rc` with interior mutability. It attaches to a kernel's
+//! [`crate::obs::Observer`] (`Kernel::attach_trace_plane`), and every
+//! subsystem emits through that observer.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;

@@ -23,9 +23,10 @@
 //! - **Deterministic.** Everything is integer arithmetic over the
 //!   virtual clock; two same-seed runs produce byte-identical alert
 //!   streams (`tests/watch_battery.rs`).
-//! - **Attach-once.** `Kernel::attach_watch_plane` wires one shared
-//!   handle through the graft engine, file system, transaction manager
-//!   and packet plane; a second attach is refused.
+//! - **Attach-once.** The plane attaches to a kernel's
+//!   [`crate::obs::Observer`] (`Kernel::attach_watch_plane`), through
+//!   which the graft engine, file system, transaction manager and
+//!   packet plane feed it; a second attach is refused.
 //! - **Passive but consulted.** Observing never charges the clock; the
 //!   one component that *reads* the plane is the kernel's admission
 //!   controller, which denies installs from principals with firing

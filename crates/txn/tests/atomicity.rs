@@ -10,7 +10,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vino_sim::{Cycles, SplitMix64, ThreadId, VirtualClock};
+use vino_sim::{Cycles, Observer, SplitMix64, ThreadId, VirtualClock};
 use vino_txn::manager::{AbortReason, TxnManager};
 
 const T: ThreadId = ThreadId(1);
@@ -84,7 +84,7 @@ fn abort_is_exact_inverse() {
         let ops = gen_ops(&mut rng, 40);
         let store: Store = Rc::new(RefCell::new([3, 1, 4, 1, 5, 9, 2, 6]));
         let before = *store.borrow();
-        let mut m = TxnManager::new(VirtualClock::new());
+        let mut m = TxnManager::new(Observer::new(VirtualClock::new()));
         m.begin(T);
         for o in &ops {
             apply(&mut m, &store, *o);
@@ -102,7 +102,7 @@ fn commit_preserves_mutations() {
     for _case in 0..256 {
         let ops = gen_ops(&mut rng, 40);
         let store: Store = Rc::new(RefCell::new([0; 8]));
-        let mut m = TxnManager::new(VirtualClock::new());
+        let mut m = TxnManager::new(Observer::new(VirtualClock::new()));
         m.begin(T);
         for o in &ops {
             apply(&mut m, &store, *o);
@@ -125,7 +125,7 @@ fn nested_composition() {
         let inner_commits = rng.chance(1, 2);
         let store: Store = Rc::new(RefCell::new([7; 8]));
         let before = *store.borrow();
-        let mut m = TxnManager::new(VirtualClock::new());
+        let mut m = TxnManager::new(Observer::new(VirtualClock::new()));
         m.begin(T);
         for o in &outer_ops {
             apply(&mut m, &store, *o);
@@ -157,7 +157,7 @@ fn abort_cost_equation_holds() {
     for _case in 0..256 {
         let n_ops = rng.below(30) as usize;
         let n_locks = rng.below(6) as usize;
-        let mut m = TxnManager::new(VirtualClock::new());
+        let mut m = TxnManager::new(Observer::new(VirtualClock::new()));
         let locks: Vec<_> = (0..n_locks).map(|_| m.create_lock(LockClass::Buffer)).collect();
         m.begin(T);
         for l in &locks {

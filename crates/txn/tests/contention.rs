@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vino_sim::{ThreadId, VirtualClock};
+use vino_sim::{Observer, ThreadId, VirtualClock};
 use vino_txn::locks::LockClass;
 use vino_txn::manager::{AbortReason, LockOutcome, TimeoutEvent, TxnManager};
 
@@ -15,7 +15,7 @@ const T3: ThreadId = ThreadId(3);
 
 fn mgr() -> (TxnManager, Rc<VirtualClock>) {
     let clock = VirtualClock::new();
-    (TxnManager::new(Rc::clone(&clock)), clock)
+    (TxnManager::new(Observer::new(Rc::clone(&clock))), clock)
 }
 
 #[test]

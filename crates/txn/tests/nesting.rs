@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use vino_sim::{Cycles, ThreadId, VirtualClock};
+use vino_sim::{Cycles, Observer, ThreadId, VirtualClock};
 use vino_txn::locks::LockClass;
 use vino_txn::manager::{AbortReason, LockOutcome, TimeoutEvent, TxnManager};
 
@@ -19,7 +19,7 @@ const T1: ThreadId = ThreadId(1);
 const T2: ThreadId = ThreadId(2);
 
 fn mgr() -> TxnManager {
-    TxnManager::new(VirtualClock::new())
+    TxnManager::new(Observer::new(VirtualClock::new()))
 }
 
 /// REGRESSION (double-release audit): an inner transaction re-acquiring

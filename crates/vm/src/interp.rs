@@ -12,10 +12,10 @@
 use std::rc::Rc;
 
 use vino_sim::costs;
-use vino_sim::fault::{FaultPlane, FaultSite};
-use vino_sim::metrics::{Component, Counter, MetricsPlane};
-use vino_sim::profile::{ProfTag, ProfilePlane};
-use vino_sim::trace::{SfiKind, TraceEvent, TracePlane, VmExitKind};
+use vino_sim::fault::FaultSite;
+use vino_sim::metrics::{Component, Counter};
+use vino_sim::obs::{GraftTags, Observer};
+use vino_sim::trace::{SfiKind, TraceEvent, VmExitKind};
 use vino_sim::{Cycles, VirtualClock};
 
 use crate::isa::{AluOp, Cond, HostFnId, Instr, Program};
@@ -166,19 +166,20 @@ pub struct Vm {
     /// Per-run counters.
     pub stats: RunStats,
     cfg: VmConfig,
-    fault: Option<Rc<FaultPlane>>,
-    trace: Option<Rc<TracePlane>>,
-    metrics: Option<Rc<MetricsPlane>>,
-    profile: Option<(Rc<ProfilePlane>, ProfTag)>,
+    /// The kernel's observer and the graft's install-time tags, which
+    /// decide the planes this VM feeds.
+    obs: Option<(Rc<Observer>, GraftTags)>,
 }
 
 impl Vm {
-    /// Creates a context over `mem` with default configuration.
+    /// Creates an unobserved context over `mem` with default
+    /// configuration: it charges the clock passed to [`run`](Self::run)
+    /// and feeds no plane.
     pub fn new(mem: AddressSpace) -> Vm {
         Vm::with_config(mem, VmConfig::default())
     }
 
-    /// Creates a context with an explicit configuration.
+    /// Creates an unobserved context with an explicit configuration.
     pub fn with_config(mem: AddressSpace, cfg: VmConfig) -> Vm {
         Vm {
             regs: [0; 16],
@@ -187,56 +188,44 @@ impl Vm {
             mem,
             stats: RunStats::default(),
             cfg,
-            fault: None,
-            trace: None,
-            metrics: None,
-            profile: None,
+            obs: None,
         }
     }
 
-    /// Attaches a fault plane: each interpreted instruction visits
-    /// [`FaultSite::VmTrap`], so `plane.arm(VmTrap, n)` traps this VM at
-    /// its `n`th instruction (counted across runs and resumes).
-    pub fn set_fault_plane(&mut self, plane: Rc<FaultPlane>) {
-        self.fault = Some(plane);
+    /// Creates a context that reports to `obs` as the graft `tags` were
+    /// interned for at install. Every instruction is charged through
+    /// the observer and attributed to an overhead component
+    /// ([`Component::Sfi`] for sandbox ops, [`Component::GraftFn`] for
+    /// everything else; host functions attribute their own interior
+    /// costs). For the planes `tags` names, each run window emits
+    /// `vm.window`, each sandbox check `vm.sfi`, each instruction visits
+    /// [`FaultSite::VmTrap`] and bills its (graft, function, pc) key.
+    pub fn observed(mem: AddressSpace, obs: Rc<Observer>, tags: GraftTags) -> Vm {
+        Vm { obs: Some((obs, tags)), ..Vm::new(mem) }
     }
 
-    /// Attaches a trace plane: every [`run`](Self::run) window emits a
-    /// `vm.window` event (instructions retired + exit kind) and every
-    /// MiSFIT sandbox check emits a `vm.sfi` event.
-    pub fn set_trace_plane(&mut self, plane: Rc<TracePlane>) {
-        self.trace = Some(plane);
-    }
-
-    /// Attaches a metrics plane: windows, instructions retired and SFI
-    /// checks are counted, and every instruction's cycle charge is
-    /// attributed to an overhead component ([`Component::Sfi`] for
-    /// sandbox ops, [`Component::GraftFn`] for everything else; host
-    /// functions attribute their own interior costs).
-    pub fn set_metrics_plane(&mut self, plane: Rc<MetricsPlane>) {
-        self.metrics = Some(plane);
-    }
-
-    /// Attaches a profile plane under `tag`: every retired instruction
-    /// bills its cycle cost to this VM's (graft, function, pc) key, and
-    /// `calll`/`ret` drive the call-graph capture.
-    pub fn set_profile_plane(&mut self, plane: Rc<ProfilePlane>, tag: ProfTag) {
-        self.profile = Some((plane, tag));
-    }
-
-    /// Charges `cost` to the clock and attributes it to `comp`.
+    /// Charges `cost` and attributes it to `comp`.
     ///
     /// Called as the first action of every [`step`](Self::step) arm,
     /// while `self.pc` still holds the post-increment value — so the
     /// retiring instruction is at `self.pc - 1` and the profile plane
     /// can bill per-PC before any control transfer rewrites `pc`.
     fn bill(&self, clock: &Rc<VirtualClock>, comp: Component, cost: Cycles) {
-        clock.charge(cost);
-        if let Some(mp) = &self.metrics {
-            mp.charge(comp, cost);
+        match &self.obs {
+            Some((obs, tags)) => obs.retire(tags, self.pc.wrapping_sub(1), comp, cost),
+            None => clock.charge(cost),
         }
-        if let Some((pp, tag)) = &self.profile {
-            pp.record_pc(*tag, self.pc.wrapping_sub(1), comp, cost);
+    }
+
+    /// The profile plane and this graft's tag in it, if it bills one.
+    fn profiled(&self) -> Option<(&Rc<vino_sim::ProfilePlane>, vino_sim::ProfTag)> {
+        let (obs, tags) = self.obs.as_ref()?;
+        Some((obs.profile()?, tags.profile?))
+    }
+
+    fn emit(&self, ev: TraceEvent) {
+        if let Some((obs, tags)) = &self.obs {
+            obs.emit_as(tags, ev);
         }
     }
 
@@ -246,8 +235,8 @@ impl Vm {
         self.pc = 0;
         self.call_stack.clear();
         self.stats = RunStats::default();
-        if let Some((pp, tag)) = &self.profile {
-            pp.reset_stack(*tag);
+        if let Some((pp, tag)) = self.profiled() {
+            pp.reset_stack(tag);
         }
     }
 
@@ -266,17 +255,15 @@ impl Vm {
     ) -> Exit {
         let window_start = self.stats.instrs;
         let exit = self.run_window(prog, env, clock, fuel);
-        if let Some(mp) = &self.metrics {
-            mp.inc(Counter::VmWindows);
-            mp.add(Counter::VmInstrs, self.stats.instrs - window_start);
-        }
-        if let Some(tp) = &self.trace {
+        if let Some((obs, tags)) = &self.obs {
+            let instrs = self.stats.instrs - window_start;
             let kind = match &exit {
                 Exit::Halted(_) => VmExitKind::Halt,
                 Exit::Preempted => VmExitKind::Preempt,
                 Exit::Trapped(_) => VmExitKind::Trap,
             };
-            tp.emit(TraceEvent::VmWindow { instrs: self.stats.instrs - window_start, exit: kind });
+            obs.emit_as(tags, TraceEvent::VmWindow { instrs, exit: kind });
+            obs.add_as(tags, Counter::VmInstrs, instrs);
         }
         exit
     }
@@ -295,8 +282,8 @@ impl Vm {
             let Some(&instr) = prog.instrs.get(self.pc) else {
                 return Exit::Trapped(Trap::PcOutOfRange { pc: self.pc });
             };
-            if let Some(plane) = &self.fault {
-                if plane.fire(FaultSite::VmTrap) {
+            if let Some((obs, tags)) = &self.obs {
+                if obs.fire_as(tags, FaultSite::VmTrap) {
                     return Exit::Trapped(Trap::Injected { pc: self.pc });
                 }
             }
@@ -395,15 +382,15 @@ impl Vm {
                 }
                 self.call_stack.push(self.pc);
                 self.pc = target as usize;
-                if let Some((pp, tag)) = &self.profile {
-                    pp.enter_fn(*tag, target);
+                if let Some((pp, tag)) = self.profiled() {
+                    pp.enter_fn(tag, target);
                 }
             }
             Instr::Ret => {
                 self.bill(clock, Component::GraftFn, Cycles(costs::RET_CYCLES));
                 self.pc = self.call_stack.pop().ok_or(Trap::RetWithoutCall)?;
-                if let Some((pp, tag)) = &self.profile {
-                    pp.exit_fn(*tag);
+                if let Some((pp, tag)) = self.profiled() {
+                    pp.exit_fn(tag);
                 }
             }
             Instr::Halt { result } => {
@@ -413,29 +400,16 @@ impl Vm {
             Instr::Clamp { r } => {
                 self.bill(clock, Component::Sfi, Cycles(costs::SFI_CLAMP_CYCLES));
                 self.stats.clamps += 1;
-                if let Some(mp) = &self.metrics {
-                    mp.inc(Counter::SfiClamps);
-                }
-                if let Some(tp) = &self.trace {
-                    tp.emit(TraceEvent::SfiCheck {
-                        kind: SfiKind::Clamp,
-                        pc: (self.pc - 1) as u64,
-                    });
-                }
+                self.emit(TraceEvent::SfiCheck { kind: SfiKind::Clamp, pc: (self.pc - 1) as u64 });
                 self.regs[r.idx()] = self.mem.clamp(self.regs[r.idx()]);
             }
             Instr::CheckCall { r } => {
                 self.bill(clock, Component::Sfi, Cycles(costs::SFI_CALLCHECK_CYCLES));
                 self.stats.checkcalls += 1;
-                if let Some(mp) = &self.metrics {
-                    mp.inc(Counter::SfiCallchecks);
-                }
-                if let Some(tp) = &self.trace {
-                    tp.emit(TraceEvent::SfiCheck {
-                        kind: SfiKind::CheckCall,
-                        pc: (self.pc - 1) as u64,
-                    });
-                }
+                self.emit(TraceEvent::SfiCheck {
+                    kind: SfiKind::CheckCall,
+                    pc: (self.pc - 1) as u64,
+                });
                 let id = HostFnId(self.regs[r.idx()] as u32);
                 if !env.is_callable(id) {
                     return Err(Trap::ForbiddenCall { id });
@@ -747,13 +721,21 @@ mod tests {
         assert_eq!(vm.mem.graft_read_u32(0), Some(99), "memory survives reset");
     }
 
+    /// A VM reporting to an observer with only a fault plane attached.
+    fn faulted(plane: Rc<vino_sim::fault::FaultPlane>) -> (Vm, Rc<VirtualClock>) {
+        let clock = VirtualClock::new();
+        let obs = Observer::new(Rc::clone(&clock));
+        obs.attach_fault(plane).unwrap();
+        let mem = AddressSpace::new(4096, 1024, Protection::Sfi);
+        (Vm::observed(mem, obs, GraftTags { fault: true, ..GraftTags::default() }), clock)
+    }
+
     #[test]
     fn injected_trap_fires_at_nth_instruction() {
         use vino_sim::fault::{FaultPlane, FaultSite};
-        let (mut vm, clock) = ctx();
         let plane = FaultPlane::seeded(0);
         plane.arm(FaultSite::VmTrap, 3);
-        vm.set_fault_plane(plane);
+        let (mut vm, clock) = faulted(plane);
         let prog = Program::new("spin", vec![Instr::Jmp { target: 0 }]);
         let mut fuel = 100;
         let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
@@ -765,10 +747,9 @@ mod tests {
     #[test]
     fn injected_trap_counts_across_resumes() {
         use vino_sim::fault::{FaultPlane, FaultSite};
-        let (mut vm, clock) = ctx();
         let plane = FaultPlane::seeded(0);
         plane.arm(FaultSite::VmTrap, 5);
-        vm.set_fault_plane(plane);
+        let (mut vm, clock) = faulted(plane);
         let prog = Program::new("spin", vec![Instr::Jmp { target: 0 }]);
         let mut fuel = 3;
         assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Preempted);
@@ -780,10 +761,14 @@ mod tests {
 
     #[test]
     fn trace_plane_sees_windows_and_sfi_checks() {
-        use vino_sim::trace::{SfiKind, TraceEvent, TracePlane, VmExitKind};
-        let (mut vm, clock) = ctx();
+        use vino_sim::trace::{GraftTag, SfiKind, TraceEvent, TracePlane, VmExitKind};
+        let clock = VirtualClock::new();
+        let obs = Observer::new(Rc::clone(&clock));
         let plane = TracePlane::new(Rc::clone(&clock));
-        vm.set_trace_plane(Rc::clone(&plane));
+        obs.attach_trace(Rc::clone(&plane)).unwrap();
+        let mem = AddressSpace::new(4096, 1024, Protection::Sfi);
+        let tags = GraftTags { trace: Some(GraftTag(0)), ..GraftTags::default() };
+        let mut vm = Vm::observed(mem, obs, tags);
         let prog = Program::new(
             "t",
             vec![

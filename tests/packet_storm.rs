@@ -156,7 +156,7 @@ fn run_storm(seed: u64, n_packets: u64) -> StormTally {
     // filter's first batch trips a VM trap mid-run and the whole batch
     // falls back to the default path.
     {
-        let fp = rig.kernel.engine.fault_plane().unwrap();
+        let fp = Rc::clone(rig.kernel.observer().fault().unwrap());
         fp.arm(FaultSite::NetFilterTrap, 1);
     }
     for i in 0..32u32 {

@@ -46,7 +46,7 @@ use vino::net::{verdict_code, Packet, PacketPlane};
 use vino::repl::{ReplConfig, ReplHarness};
 use vino::rm::{Limits, ResourceKind};
 use vino::sim::fault::{FaultPlane, FaultSite, ALL_SITES, CRASH_SITES, REPL_SITES};
-use vino::sim::{Cycles, VirtualClock};
+use vino::sim::{Cycles, Observer, VirtualClock};
 
 /// The four kernel workloads a crash interrupts. Each drives a
 /// different subsystem before (and around) the doomed file-system
@@ -588,8 +588,8 @@ fn every_fault_site_is_exercised() {
 /// transaction waiting in the journal (the after-commit crash).
 fn image_with_pending_redo(seed: u64) -> DiskImage {
     let clock = VirtualClock::new();
-    let disk = Disk::new(Rc::clone(&clock));
-    let mut fs = FileSystem::format(Rc::clone(&clock), disk, 8, 64);
+    let disk = Disk::new(Observer::new(Rc::clone(&clock)));
+    let mut fs = FileSystem::format(disk, 8, 64);
     fs.create("r", 4 * BLOCK_SIZE as u64).unwrap();
     let fd = fs.open("r").unwrap();
     fs.write(fd, 0, &vec![0x11; 2 * BLOCK_SIZE]).unwrap();
@@ -598,7 +598,7 @@ fn image_with_pending_redo(seed: u64) -> DiskImage {
         FaultSite::KernelCrashAfterCommit,
         plane.visits(FaultSite::KernelCrashAfterCommit) + 1,
     );
-    fs.set_fault_plane(plane);
+    fs.observer().attach_fault(plane).unwrap();
     assert_eq!(fs.write(fd, 0, &vec![0x22; 2 * BLOCK_SIZE]), Err(FsError::PowerFailure));
     fs.disk_image()
 }
@@ -607,12 +607,12 @@ fn image_with_pending_redo(seed: u64) -> DiskImage {
 /// wired to the disk *before* recovery runs, so injected media faults
 /// hit the replay path itself.
 fn recover_with(image: DiskImage, plane: Option<Rc<FaultPlane>>) -> (DiskImage, RecoveryReport) {
-    let clock = VirtualClock::new();
-    let mut disk = Disk::from_image(Rc::clone(&clock), image).unwrap();
+    let obs = Observer::new(VirtualClock::new());
     if let Some(p) = plane {
-        disk.set_fault_plane(p);
+        obs.attach_fault(p).unwrap();
     }
-    let mut fs = FileSystem::mount(clock, disk, 8).unwrap();
+    let disk = Disk::from_image(obs, image).unwrap();
+    let mut fs = FileSystem::mount(disk, 8).unwrap();
     let report = fs.recovery_report().unwrap();
     let fd = fs.open("r").unwrap();
     assert_eq!(fs.read(fd, 0, 16).unwrap(), vec![0x22; 16], "redo must complete the commit");
@@ -652,10 +652,10 @@ fn torn_replay_is_repaired_by_rerunning_recovery() {
 
     let fp = FaultPlane::seeded(5);
     fp.arm(FaultSite::DiskTornWrite, 1);
-    let clock = VirtualClock::new();
-    let mut disk = Disk::from_image(Rc::clone(&clock), image).unwrap();
-    disk.set_fault_plane(Rc::clone(&fp));
-    let mut fs = FileSystem::mount(clock, disk, 8).unwrap();
+    let obs = Observer::new(VirtualClock::new());
+    obs.attach_fault(Rc::clone(&fp)).unwrap();
+    let disk = Disk::from_image(obs, image).unwrap();
+    let mut fs = FileSystem::mount(disk, 8).unwrap();
     assert_eq!(fp.injected(FaultSite::DiskTornWrite), 1, "the replay write must tear");
 
     // Second pass, fault disarmed: idempotent redo completes.

@@ -160,8 +160,10 @@ fn rule6_only_known_safe_code_runs() {
         Err(InstallError::Verify(VerifyError::BadSignature))
     ));
     // Code signed by an untrusted tool does not load either.
-    let rogue_tool =
-        vino::misfit::MisfitTool::new(vino::misfit::SigningKey::from_passphrase("rogue"));
+    let rogue_tool = vino::misfit::MisfitTool::new(
+        vino::misfit::SigningKey::from_passphrase("rogue"),
+        k.observer().clone(),
+    );
     let prog = vino::vm::assemble("g", "halt r0", &vino::core::hostfn::symbols()).unwrap();
     let (rogue_image, _) = rogue_tool.process(&prog).unwrap();
     assert!(matches!(
