@@ -54,12 +54,13 @@ fn bench(c: &mut Criterion) {
     println!("metrics_plane/allocs_per_100k_emits      {delta:>12}");
 
     // The same proof through the observer, with trace, metrics and
-    // profile all attached: every charge, emit and bracket fans out to
-    // the three planes and the counter twins.
+    // profile all attached: every charge lands in the one ledger, and
+    // every emit and bracket fans out to the planes and counter twins.
     let obs = Observer::new(Rc::clone(&clock));
     obs.attach_trace(TracePlane::with_capacity(Rc::clone(&clock), 1 << 12)).unwrap();
-    obs.attach_metrics(MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8)).unwrap();
-    obs.attach_profile(ProfilePlane::with_capacity(Rc::clone(&clock), 8, 1 << 10)).unwrap();
+    let omp = MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8);
+    obs.attach_metrics(Rc::clone(&omp)).unwrap();
+    obs.attach_profile(ProfilePlane::with_capacity(&omp, 8, 1 << 10)).unwrap();
     let grafts = [obs.install("ra", 64), obs.install("evict", 64)];
     for g in &grafts {
         obs.begin_invocation(g);

@@ -2,8 +2,9 @@
 //! plus the zero-allocation proof — once a graft's program is
 //! registered, the hot-path operations (per-PC billing, call-graph
 //! enter/exit on already-seen edges, invocation brackets, span marks)
-//! must never touch the heap, neither on the plane itself nor through
-//! the observer funnel the VM and the wrapper actually call.
+//! must never touch the heap, neither on the plane itself (a view over
+//! a bare metrics plane) nor through the observer funnel the VM and the
+//! wrapper actually call.
 
 use std::rc::Rc;
 
@@ -19,21 +20,24 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 fn bench(c: &mut Criterion) {
     let clock = VirtualClock::new();
-    let pp = ProfilePlane::with_capacity(Rc::clone(&clock), 8, 1 << 14);
+    let mp = MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8);
+    let pp = ProfilePlane::with_capacity(&mp, 8, 1 << 14);
 
     // Interning and program registration are the only allocating
     // operations, and they happen once per graft at install time — do
     // them before the proof window. One warm-up pass also materialises
     // every call-tree edge the proof loop will walk.
-    let tags = [pp.tag("ra"), pp.tag("evict"), pp.tag("sched"), pp.tag("crypt")];
+    let tags = [mp.tag("ra"), mp.tag("evict"), mp.tag("sched"), mp.tag("crypt")];
     for &t in &tags {
         pp.register_program(t, 512);
-        pp.begin_invocation(t);
+        mp.begin_invocation(t);
+        pp.reset_stack(t);
         pp.record_pc(t, 0, Component::GraftFn, Cycles(1));
         pp.enter_fn(t, 40);
         pp.record_pc(t, 40, Component::GraftFn, Cycles(35));
         pp.exit_fn(t);
         pp.end_invocation(true);
+        mp.end_invocation(true);
     }
 
     // The proof: 100k retired instructions (mixed with the bracket,
@@ -42,8 +46,9 @@ fn bench(c: &mut Criterion) {
     let before = ALLOC.allocations();
     for i in 0..1_000u64 {
         let tag = tags[(i % 4) as usize];
-        pp.begin_invocation(tag);
-        pp.charge(Component::TxnBegin, Cycles(4320));
+        mp.begin_invocation(tag);
+        pp.reset_stack(tag);
+        mp.charge(Component::TxnBegin, Cycles(4320));
         pp.mark(SpanKind::TxnBegin, Cycles(4320));
         for pc in 0..100u32 {
             clock.charge(Cycles(1));
@@ -53,9 +58,10 @@ fn bench(c: &mut Criterion) {
         pp.enter_fn(tag, 40);
         pp.record_pc(tag, 40, Component::GraftFn, Cycles(35));
         pp.exit_fn(tag);
-        pp.charge(Component::TxnCommit, Cycles(3600));
+        mp.charge(Component::TxnCommit, Cycles(3600));
         pp.mark(SpanKind::TxnCommit, Cycles(3600));
         pp.end_invocation(i % 5 != 0);
+        mp.end_invocation(i % 5 != 0);
     }
     let delta = ALLOC.allocations() - before;
     assert_eq!(delta, 0, "profile billing hit the heap {delta} times in 100k instructions");
@@ -66,8 +72,9 @@ fn bench(c: &mut Criterion) {
     // plus the VM's per-instruction retire and window events.
     let obs = Observer::new(Rc::clone(&clock));
     obs.attach_trace(TracePlane::with_capacity(Rc::clone(&clock), 1 << 12)).unwrap();
-    obs.attach_metrics(MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8)).unwrap();
-    obs.attach_profile(ProfilePlane::with_capacity(Rc::clone(&clock), 8, 1 << 10)).unwrap();
+    let omp = MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8);
+    obs.attach_metrics(Rc::clone(&omp)).unwrap();
+    obs.attach_profile(ProfilePlane::with_capacity(&omp, 8, 1 << 10)).unwrap();
     let grafts = [obs.install("ra", 512), obs.install("evict", 512)];
     for g in &grafts {
         obs.begin_invocation(g);
@@ -110,9 +117,11 @@ fn bench(c: &mut Criterion) {
     });
     c.bench_function("profile_plane/invocation_bracket", |b| {
         b.iter(|| {
-            pp.begin_invocation(black_box(tags[0]));
+            mp.begin_invocation(black_box(tags[0]));
+            pp.reset_stack(tags[0]);
             pp.record_pc(tags[0], 1, Component::GraftFn, Cycles(1));
             pp.end_invocation(true);
+            mp.end_invocation(true);
         })
     });
     c.bench_function("profile_plane/folded", |b| b.iter(|| black_box(pp.folded())));

@@ -27,7 +27,6 @@
 
 pub mod ablation;
 pub mod benefit;
-pub mod census;
 pub mod debug;
 pub mod equation;
 pub mod lockfig;

@@ -20,10 +20,6 @@ struct DebugArgs {
     /// `watch` only: run the dense trap storm instead of the generated
     /// one, so the alert stream and admission gate have real work.
     hostile: bool,
-    /// `census` only: also write `BENCH_<name>.json` files.
-    json: bool,
-    /// `census` only: samples per measurement path.
-    reps: usize,
 }
 
 fn parse_debug_args(args: &mut impl Iterator<Item = String>) -> DebugArgs {
@@ -33,8 +29,6 @@ fn parse_debug_args(args: &mut impl Iterator<Item = String>) -> DebugArgs {
         out: None,
         topts: TimelineOpts::default(),
         hostile: false,
-        json: false,
-        reps: 25,
     };
     let need = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().unwrap_or_else(|| {
@@ -58,13 +52,6 @@ fn parse_debug_args(args: &mut impl Iterator<Item = String>) -> DebugArgs {
             }
             "--out" => d.out = Some(need(args, "--out")),
             "--hostile" => d.hostile = true,
-            "--json" => d.json = true,
-            "--reps" => {
-                d.reps = need(args, "--reps").parse().unwrap_or_else(|_| {
-                    eprintln!("--reps expects a positive integer");
-                    std::process::exit(2);
-                });
-            }
             "--time-range" => {
                 let v = need(args, "--time-range");
                 let Some((lo, hi)) = v.split_once("..") else {
@@ -333,26 +320,6 @@ fn cmd_repl(d: &DebugArgs) {
     }
 }
 
-fn cmd_census(d: &DebugArgs) {
-    println!(
-        "bench census — {} reps, seed {}, {} repl rounds (EXPERIMENTS.md A9)",
-        d.reps, d.seed, d.steps
-    );
-    for c in vino_bench::census::run_all(d.reps, d.seed, d.steps) {
-        println!();
-        println!("[{}]", c.name);
-        print!("{}", c.text);
-        if d.json {
-            let file = c.json_file();
-            std::fs::write(&file, &c.json).unwrap_or_else(|e| {
-                eprintln!("{file}: {e}");
-                std::process::exit(2);
-            });
-            println!("wrote {file}");
-        }
-    }
-}
-
 /// The lag-path walker over a live stalled harness: stall the ack
 /// path, attribute where the oldest unacked record's age went, prove
 /// the per-hop sum reconciles exactly with the watch plane's gauge,
@@ -439,10 +406,6 @@ fn main() {
                 cmd_repl(&parse_debug_args(&mut args));
                 return;
             }
-            "census" => {
-                cmd_census(&parse_debug_args(&mut args));
-                return;
-            }
             "lagpath" => {
                 cmd_lagpath(&parse_debug_args(&mut args));
                 return;
@@ -492,9 +455,6 @@ fn main() {
                 );
                 println!(
                     "  repl        --seed S [--steps N]   replication census: convergence vs window size"
-                );
-                println!(
-                    "  census      [--json] [--reps N]    netfilter + repl-window sweeps; --json writes BENCH_<name>.json"
                 );
                 println!(
                     "  lagpath     --seed S [--steps N]   critical-path lag attribution vs the watch gauge"

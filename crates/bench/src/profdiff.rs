@@ -81,16 +81,16 @@ fn run_workload() -> (World, Rc<MetricsPlane>, Rc<ProfilePlane>) {
 /// `<key> <value>` lines. Deterministic: the same tree always produces
 /// the same bytes.
 pub fn snapshot() -> String {
-    let (w, _mp, pp) = run_workload();
-    let tag = pp.tag("bench-graft");
-    let attr = pp.attribution(tag).expect("interned at install");
+    let (w, mp, pp) = run_workload();
+    let tag = mp.tag("bench-graft");
+    let attr = mp.attribution(tag).expect("interned at install");
     let mut kv: BTreeMap<String, u64> = BTreeMap::new();
     kv.insert("graft.invocations".into(), attr.invocations);
     kv.insert("graft.instrs".into(), pp.instrs_of(tag));
     for c in Component::ALL {
         kv.insert(format!("graft.comp.{}", c.label()), attr.cycles[c as usize]);
     }
-    let kernel = pp.kernel_attribution();
+    let kernel = mp.kernel_attribution();
     for c in Component::ALL {
         kv.insert(format!("kernel.comp.{}", c.label()), kernel[c as usize]);
     }

@@ -245,11 +245,10 @@ mod tests {
         assert!(attr.of(Component::Sfi) > Cycles(0));
     }
 
-    /// The profile plane's per-PC ledger must agree *exactly* — cycle
-    /// for cycle, component for component — with the metrics plane's
-    /// Table-3 attribution for the same run. Both planes watch the same
-    /// charge sites with the same bracket semantics, so any divergence
-    /// is a billing bug in one of them.
+    /// The profile plane's per-PC arrays must agree *exactly* — cycle
+    /// for cycle — with the metrics plane's Table-3 attribution for the
+    /// same run, and that attribution must decompose the measured clock
+    /// delta. Any divergence is a billing bug.
     #[test]
     fn profile_ledger_reconciles_with_metrics_attribution() {
         use crate::world::build_profiled;
@@ -273,25 +272,20 @@ mod tests {
         }
         let measured = w.clock.since(t0);
 
-        let mtag = mp.tag("bench-graft");
-        let ptag = pp.tag("bench-graft");
-        let ma = mp.attribution(mtag).expect("metrics interned");
-        let pa = pp.attribution(ptag).expect("profile interned");
+        let tag = mp.tag("bench-graft");
+        let a = mp.attribution(tag).expect("interned at install");
 
-        // Component-for-component equality between the two ledgers, and
-        // both decompose the measured clock delta exactly.
-        assert_eq!(pa, ma, "profile and metrics attribution must agree exactly");
-        assert_eq!(pa.total(), measured);
-        assert_eq!(pp.kernel_attribution(), mp.kernel_attribution());
+        // The ledger decomposes the measured clock delta exactly.
+        assert_eq!(a.total(), measured);
 
-        // The per-PC arrays are a third, finer-grained decomposition of
-        // the same cycles: summed, they must equal the attribution's
+        // The per-PC arrays are a finer-grained decomposition of the
+        // same cycles: summed, they must equal the attribution's
         // VM-billed rows (GraftFn and Sfi) exactly — and the hit count
         // must equal the retired-instruction count.
-        let (graft_fn, sfi, hits) = pp.pc_totals(ptag);
-        assert_eq!(graft_fn, pa.of(Component::GraftFn));
-        assert_eq!(sfi, pa.of(Component::Sfi));
-        assert_eq!(hits, pp.instrs_of(ptag));
+        let (graft_fn, sfi, hits) = pp.pc_totals(tag);
+        assert_eq!(graft_fn, a.of(Component::GraftFn));
+        assert_eq!(sfi, a.of(Component::Sfi));
+        assert_eq!(hits, pp.instrs_of(tag));
         assert!(hits > 0);
     }
 }

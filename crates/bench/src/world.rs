@@ -73,9 +73,10 @@ pub fn build_metered(
     (World { engine, graft, clock }, plane)
 }
 
-/// [`build_metered`] plus a profile plane, attached the same way (before
-/// the instance is created, so the VM bills per-PC cycles and the
-/// wrapper brackets invocations). Used by the profile reconciliation
+/// [`build_metered`] plus a profile plane over its metrics plane
+/// (attaching the profile attaches both, before the instance is
+/// created, so the VM bills per-PC cycles and the wrapper brackets
+/// invocations). Used by the profile reconciliation
 /// tests and the differential profile gate (`docs/PROFILING.md`).
 pub fn build_profiled(
     src: &str,
@@ -85,9 +86,8 @@ pub fn build_profiled(
 ) -> (World, Rc<MetricsPlane>, Rc<ProfilePlane>) {
     let clock = VirtualClock::new();
     let plane = MetricsPlane::new(Rc::clone(&clock));
-    let profile = ProfilePlane::new(Rc::clone(&clock));
+    let profile = ProfilePlane::new(&plane);
     let engine = GraftEngine::new(Observer::new(Rc::clone(&clock)));
-    engine.obs.attach_metrics(Rc::clone(&plane)).expect("fresh engine");
     engine.obs.attach_profile(Rc::clone(&profile)).expect("fresh engine");
     for _ in 0..locks {
         engine.register_lock(LockClass::SharedBuffer);

@@ -70,9 +70,6 @@ pub struct KernelConfig {
     /// Flight-recorder ring capacity, in trace records, for planes
     /// built from this config (see `TracePlane::with_capacity`).
     pub trace_capacity: usize,
-    /// Post-mortem window: how many trailing trace records a crash
-    /// report captures (see `TracePlane::set_post_mortem_window`).
-    pub post_mortem_window: usize,
 }
 
 impl Default for KernelConfig {
@@ -84,7 +81,6 @@ impl Default for KernelConfig {
             signing_passphrase: "vino-default-key".to_string(),
             checkpoint_interval_ms: 250,
             trace_capacity: vino_sim::trace::DEFAULT_CAPACITY,
-            post_mortem_window: vino_sim::trace::DEFAULT_POST_MORTEM_WINDOW,
         }
     }
 }
@@ -256,6 +252,10 @@ impl Kernel {
     /// whole kernel (see `docs/PROFILING.md`). Grafts loaded after this
     /// call also bill per PC, capture their call graphs and open
     /// invocation spans. Recording never charges the virtual clock.
+    ///
+    /// The profile is a view over its metrics plane, which this call
+    /// attaches when no metrics plane is attached yet. A profile over a
+    /// different metrics plane than the attached one is refused.
     ///
     /// Attach-once, like [`attach_fault_plane`](Self::attach_fault_plane).
     pub fn attach_profile_plane(&self, plane: Rc<ProfilePlane>) -> Result<(), AttachError> {
@@ -881,7 +881,7 @@ mod tests {
             Rc::ptr_eq(&k.metrics().expect("attached"), &mp),
             "Kernel::metrics returns the attached plane"
         );
-        let pp = vino_sim::profile::ProfilePlane::new(Rc::clone(&k.clock));
+        let pp = vino_sim::profile::ProfilePlane::new(&mp);
         assert!(k.profile().is_none(), "no profile plane before attach");
         k.attach_profile_plane(Rc::clone(&pp)).unwrap();
         assert_eq!(

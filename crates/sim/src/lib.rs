@@ -19,7 +19,6 @@ pub mod debug;
 pub mod event;
 pub mod fault;
 pub mod ids;
-mod ledger;
 pub mod metrics;
 pub mod obs;
 pub mod plane;
@@ -39,7 +38,7 @@ pub use metrics::{
 };
 pub use obs::{GraftTags, Observer};
 pub use plane::AttachError;
-pub use profile::{HotFn, ProfTag, ProfilePlane, SpanKind};
+pub use profile::{HotFn, ProfilePlane, SpanKind};
 pub use rng::{SplitMix64, XorShift64};
 pub use trace::{
     AbortKind, CauseCtx, GraftTag, MergedRecord, MergedTrace, NodeId, PostMortem, SfiKind, SpanId,

@@ -10,6 +10,9 @@
 //! (indirection, transaction begin/commit, lock, SFI, graft function,
 //! result check, undo, abort; §4, Tables 3–7) so the Table 3 breakdown
 //! can be read off a *running* kernel instead of a benchmark harness.
+//! It is the one attribution ledger per kernel: the profile plane
+//! ([`crate::profile`]) is a view over this plane's ledger and graft
+//! table.
 //!
 //! Design discipline matches the trace plane:
 //!
@@ -35,7 +38,6 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use crate::clock::{Cycles, VirtualClock};
-use crate::ledger::{Ledger, LedgerState};
 
 /// Interned graft-name handle, the metrics twin of
 /// [`crate::trace::GraftTag`]. Interning happens at install time (the
@@ -510,11 +512,27 @@ impl Default for CycleHistogram {
 // Per-graft slots and invocation frames.
 // ---------------------------------------------------------------------------
 
-/// Per-graft aggregates, one fixed-size slot per interned tag (the
-/// per-component attribution and invocation count live in the
-/// [`Ledger`]).
+/// Maximum concurrently bracketed invocations (graft-to-graft nesting).
+/// The engine bounds nesting well below this (`MAX_NEST_DEPTH`).
+const MAX_NEST: usize = 16;
+
+/// One open invocation bracket on the fixed-depth stack.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    tag: MetricTag,
+    /// Clock reading when the bracket opened.
+    start: Cycles,
+    comps: [u64; Component::COUNT],
+}
+
+const IDLE_FRAME: Frame =
+    Frame { tag: MetricTag(u16::MAX), start: Cycles(0), comps: [0; Component::COUNT] };
+
+/// Per-graft aggregates, one fixed-size slot per interned tag.
 #[derive(Debug, Clone, Copy)]
 struct GraftSlot {
+    /// Per-component attribution and invocation count.
+    attr: Attribution,
     installs: u64,
     commits: u64,
     aborts: u64,
@@ -529,6 +547,7 @@ struct GraftSlot {
 impl GraftSlot {
     fn new() -> GraftSlot {
         GraftSlot {
+            attr: Attribution { cycles: [0; Component::COUNT], invocations: 0 },
             installs: 0,
             commits: 0,
             aborts: 0,
@@ -554,7 +573,8 @@ pub struct MetricsState {
     counters: [u64; Counter::COUNT],
     rm_peaks: [u64; 8],
     undo_depth_peak: u64,
-    ledger: LedgerState,
+    pending_indirection: u64,
+    kernel: [u64; Component::COUNT],
     grafts: Vec<GraftSlot>,
     names: Vec<String>,
     all_latency: CycleHistogram,
@@ -575,9 +595,13 @@ pub struct MetricsPlane {
     rm_peaks: Cell<[u64; 8]>,
     /// Deepest undo stack observed.
     undo_depth_peak: Cell<u64>,
-    /// The bracketed per-graft attribution (shared design with the
-    /// profile plane).
-    ledger: Ledger,
+    /// Open invocation brackets; charges land on the innermost one.
+    frames: RefCell<[Frame; MAX_NEST]>,
+    depth: Cell<usize>,
+    /// Dispatch charges awaiting the invocation they dispatch.
+    pending_indirection: Cell<u64>,
+    /// Charges recorded outside any invocation (kernel-side work).
+    kernel: Cell<[u64; Component::COUNT]>,
     grafts: RefCell<Vec<GraftSlot>>,
     names: RefCell<Vec<String>>,
     tags: RefCell<HashMap<String, MetricTag>>,
@@ -603,13 +627,21 @@ impl MetricsPlane {
             counters: std::array::from_fn(|_| Cell::new(0)),
             rm_peaks: Cell::new([0; 8]),
             undo_depth_peak: Cell::new(0),
-            ledger: Ledger::with_capacity(grafts),
+            frames: RefCell::new([IDLE_FRAME; MAX_NEST]),
+            depth: Cell::new(0),
+            pending_indirection: Cell::new(0),
+            kernel: Cell::new([0; Component::COUNT]),
             grafts: RefCell::new(Vec::with_capacity(grafts)),
             names: RefCell::new(Vec::with_capacity(grafts)),
             tags: RefCell::new(HashMap::with_capacity(grafts)),
             all_latency: RefCell::new(CycleHistogram::new()),
             nic_port_drops: RefCell::new(Vec::new()),
         })
+    }
+
+    /// The clock stamping invocation brackets.
+    pub(crate) fn clock(&self) -> &Rc<VirtualClock> {
+        &self.clock
     }
 
     // -- checkpointing ------------------------------------------------------
@@ -621,8 +653,10 @@ impl MetricsPlane {
     /// Panics if an invocation bracket is open — checkpoints are taken
     /// at quiesced instants only.
     pub fn export_state(&self) -> MetricsState {
+        assert_eq!(self.depth.get(), 0, "cannot checkpoint mid-invocation");
         MetricsState {
-            ledger: self.ledger.export(),
+            pending_indirection: self.pending_indirection.get(),
+            kernel: self.kernel.get(),
             counters: std::array::from_fn(|i| self.counters[i].get()),
             rm_peaks: self.rm_peaks.get(),
             undo_depth_peak: self.undo_depth_peak.get(),
@@ -634,14 +668,17 @@ impl MetricsPlane {
     }
 
     /// Replants a [`MetricsState`] capture: counters, gauges and ledgers
-    /// resume exactly where the capture left them.
+    /// resume exactly where the capture left them, with no bracket open.
     pub fn restore_state(&self, st: &MetricsState) {
         for (cell, v) in self.counters.iter().zip(st.counters) {
             cell.set(v);
         }
         self.rm_peaks.set(st.rm_peaks);
         self.undo_depth_peak.set(st.undo_depth_peak);
-        self.ledger.restore(&st.ledger);
+        self.pending_indirection.set(st.pending_indirection);
+        self.kernel.set(st.kernel);
+        self.depth.set(0);
+        *self.frames.borrow_mut() = [IDLE_FRAME; MAX_NEST];
         *self.grafts.borrow_mut() = st.grafts.clone();
         *self.names.borrow_mut() = st.names.clone();
         let mut tags = self.tags.borrow_mut();
@@ -659,15 +696,23 @@ impl MetricsPlane {
     /// Interns `name`, allocating a per-graft slot on first sight. The
     /// only allocating operation besides rendering; called at install
     /// time.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 65,536th distinct name: tag `u16::MAX` means "no
+    /// graft", and a wrapped tag would merge two grafts' ledgers.
     pub fn tag(&self, name: &str) -> MetricTag {
         if let Some(t) = self.tags.borrow().get(name) {
             return *t;
         }
         let mut names = self.names.borrow_mut();
-        let t = MetricTag(names.len() as u16);
+        let t = u16::try_from(names.len())
+            .ok()
+            .filter(|&t| t < u16::MAX)
+            .map(MetricTag)
+            .expect("metrics plane: graft tag space exhausted");
         names.push(name.to_string());
         self.grafts.borrow_mut().push(GraftSlot::new());
-        self.ledger.add_graft();
         self.tags.borrow_mut().insert(name.to_string(), t);
         t
     }
@@ -753,26 +798,62 @@ impl MetricsPlane {
     /// every other component is kernel-side work and lands in the
     /// kernel ledger ([`Self::kernel_attribution`]).
     pub fn charge(&self, c: Component, cost: Cycles) {
-        self.ledger.charge(c, cost);
+        let d = self.depth.get();
+        if d > 0 {
+            self.frames.borrow_mut()[d - 1].comps[c as usize] += cost.get();
+        } else if c == Component::Indirection {
+            self.pending_indirection.set(self.pending_indirection.get() + cost.get());
+        } else {
+            self.add_kernel(c, cost.get());
+        }
+    }
+
+    fn add_kernel(&self, c: Component, v: u64) {
+        let mut k = self.kernel.get();
+        k[c as usize] += v;
+        self.kernel.set(k);
     }
 
     /// Opens an invocation bracket for `tag`: starts the latency stamp,
     /// claims any pending dispatch charge, and counts the invocation.
     /// Zero-allocation.
     pub fn begin_invocation(&self, tag: MetricTag) {
-        self.ledger.begin(tag.0, self.clock.now());
+        let d = self.depth.get();
+        assert!(d < MAX_NEST, "invocation nest deeper than MAX_NEST");
+        let mut frame = Frame { tag, start: self.clock.now(), comps: [0; Component::COUNT] };
+        frame.comps[Component::Indirection as usize] += self.pending_indirection.replace(0);
+        self.frames.borrow_mut()[d] = frame;
+        self.depth.set(d + 1);
+        if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
+            slot.attr.invocations += 1;
+        }
         self.inc(Counter::GraftInvocations);
+    }
+
+    /// The innermost open bracket's tag and start, if any.
+    pub(crate) fn current_invocation(&self) -> Option<(MetricTag, Cycles)> {
+        let d = self.depth.get();
+        (d > 0).then(|| {
+            let f = self.frames.borrow()[d - 1];
+            (f.tag, f.start)
+        })
     }
 
     /// Closes the innermost invocation bracket: records latency, merges
     /// the frame's attribution into the graft ledger, and counts the
     /// outcome. Zero-allocation.
     pub fn end_invocation(&self, committed: bool) {
-        let frame = self.ledger.end();
+        let d = self.depth.get();
+        assert!(d > 0, "end_invocation without begin_invocation");
+        self.depth.set(d - 1);
+        let frame = self.frames.borrow()[d - 1];
         let latency = self.clock.now().saturating_sub(frame.start);
         self.all_latency.borrow_mut().record(latency);
         self.inc(if committed { Counter::GraftCommits } else { Counter::GraftAborts });
-        if let Some(slot) = self.grafts.borrow_mut().get_mut(frame.tag as usize) {
+        if let Some(slot) = self.grafts.borrow_mut().get_mut(frame.tag.0 as usize) {
+            for (total, add) in slot.attr.cycles.iter_mut().zip(frame.comps) {
+                *total += add;
+            }
             slot.latency.record(latency);
             if committed {
                 slot.commits += 1;
@@ -794,7 +875,10 @@ impl MetricsPlane {
     /// Flushes any unclaimed dispatch charge to the kernel ledger (the
     /// dispatch led nowhere).
     pub fn mark_fallback(&self, tag: MetricTag) {
-        self.ledger.flush_pending();
+        let pending = self.pending_indirection.replace(0);
+        if pending > 0 {
+            self.add_kernel(Component::Indirection, pending);
+        }
         self.inc(Counter::GraftFallbacks);
         if let Some(slot) = self.grafts.borrow_mut().get_mut(tag.0 as usize) {
             slot.fallbacks += 1;
@@ -821,12 +905,12 @@ impl MetricsPlane {
 
     /// The attribution ledger for `tag`, if interned.
     pub fn attribution(&self, tag: MetricTag) -> Option<Attribution> {
-        self.ledger.attribution(tag.0)
+        self.grafts.borrow().get(tag.0 as usize).map(|s| s.attr)
     }
 
     /// Cycles attributed to kernel-side work outside any invocation.
     pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.ledger.kernel()
+        self.kernel.get()
     }
 
     /// Per-graft invocation-latency quantile (`num/den`), if any
@@ -881,11 +965,9 @@ impl MetricsPlane {
         let names = self.names.borrow();
         let grafts = self.grafts.borrow();
         out.push_str("# TYPE vino_graft_overhead_cycles_total counter\n");
-        for i in 0..grafts.len() {
-            let comps =
-                self.ledger.attribution(i as u16).map_or([0; Component::COUNT], |a| a.cycles);
+        for (i, slot) in grafts.iter().enumerate() {
             for c in Component::ALL {
-                let v = comps[c as usize];
+                let v = slot.attr.cycles[c as usize];
                 if v > 0 {
                     out.push_str(&format!(
                         "vino_graft_overhead_cycles_total{{graft=\"{}\",component=\"{}\"}} {v}\n",
@@ -954,7 +1036,6 @@ impl MetricsPlane {
             };
             let done = slot.commits + slot.aborts;
             let rate = if done == 0 { 0.0 } else { 100.0 * slot.aborts as f64 / done as f64 };
-            let invocations = self.ledger.attribution(i as u16).map_or(0, |a| a.invocations);
             let state = match slot.quarantined_until {
                 Some(until) if until > now => format!("quarantined@{}", until.get()),
                 _ => "ok".to_string(),
@@ -962,7 +1043,7 @@ impl MetricsPlane {
             out.push_str(&format!(
                 "{:<18} {:>7} {:>8} {:>8} {:>6.1} {:>9} {:>10}  {}\n",
                 names[i],
-                invocations,
+                slot.attr.invocations,
                 slot.commits,
                 slot.aborts,
                 rate,
@@ -1034,6 +1115,24 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(mp.name_of(a), "ra");
         assert_eq!(mp.name_of(MetricTag(99)), "?tag99");
+    }
+
+    #[test]
+    fn tag_space_exhaustion_panics_instead_of_aliasing() {
+        let mp = MetricsPlane::with_graft_capacity(VirtualClock::new(), 0);
+        for i in 0..u16::MAX {
+            assert_eq!(mp.tag(&i.to_string()), MetricTag(i));
+        }
+        mp.begin_invocation(MetricTag(0));
+        mp.charge(Component::GraftFn, Cycles(5));
+        mp.end_invocation(true);
+        let overflow =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| mp.tag("one-too-many")));
+        assert!(overflow.is_err(), "tag {} would mean \"no graft\"", u16::MAX);
+        assert_eq!(mp.tags_in_order().len(), u16::MAX as usize, "no slot was added");
+        assert_eq!(mp.tag("0"), MetricTag(0));
+        assert_eq!(mp.attribution(MetricTag(0)).unwrap().of(Component::GraftFn), Cycles(5));
+        assert_eq!(mp.attribution(MetricTag(u16::MAX)), None);
     }
 
     #[test]

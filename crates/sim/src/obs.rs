@@ -9,14 +9,15 @@
 //! then on every subsystem feeds it — there is no per-subsystem wiring.
 //!
 //! - [`charge`](Observer::charge) advances the clock and attributes the
-//!   cost to a [`Component`] in the metrics and profile ledgers: one
-//!   call where the clock, the metrics plane and the profile plane used
-//!   to be charged separately.
+//!   cost to a [`Component`] in the metrics plane's ledger, the one
+//!   attribution ledger per kernel (the profile plane is a view over
+//!   it).
 //! - [`emit`](Observer::emit) records a [`TraceEvent`] and bumps its
 //!   counter twin wherever a [`Counter`] mirrors the event 1:1, so the
 //!   trace totals and the counters reconcile by construction.
-//! - [`install`](Observer::install) interns a graft's name in every
-//!   attached plane and returns its [`GraftTags`]; the
+//! - [`install`](Observer::install) interns a graft's name in the
+//!   trace and metrics planes, registers it with the profile plane, and
+//!   returns its [`GraftTags`]; the
 //!   [`begin_invocation`](Observer::begin_invocation) /
 //!   [`end_invocation`](Observer::end_invocation) /
 //!   [`fallback`](Observer::fallback) brackets and the VM's
@@ -35,22 +36,23 @@ use crate::clock::{Cycles, VirtualClock};
 use crate::fault::{FaultPlane, FaultSite};
 use crate::metrics::{Component, Counter, MetricTag, MetricsPlane};
 use crate::plane::AttachError;
-use crate::profile::{ProfTag, ProfilePlane, SpanKind};
+use crate::profile::{ProfilePlane, SpanKind};
 use crate::trace::{CauseCtx, GraftTag, SfiKind, ShedKind, TraceEvent, TracePlane, VerdictKind};
 use crate::watch::WatchPlane;
 
 /// What a graft saw attached when it was installed: its interned tag in
-/// each plane that was attached then, and whether the fault plane was.
-/// The VM and the invocation brackets feed exactly these planes for the
-/// graft's whole life.
+/// each interning plane (trace, metrics) that was attached then, and
+/// whether the profile and fault planes were. The VM and the invocation
+/// brackets feed exactly these planes for the graft's whole life.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraftTags {
     /// Trace-plane tag.
     pub trace: Option<GraftTag>,
-    /// Metrics-plane tag.
+    /// Metrics-plane tag; the profile plane keys the graft by it too.
     pub metrics: Option<MetricTag>,
-    /// Profile-plane tag.
-    pub profile: Option<ProfTag>,
+    /// True when a profile plane was attached (the VM bills per-PC
+    /// cycles under the metrics tag).
+    pub profile: bool,
     /// True when a fault plane was attached (the VM visits
     /// [`FaultSite::VmTrap`] on every instruction).
     pub fault: bool,
@@ -124,8 +126,17 @@ impl Observer {
         Ok(())
     }
 
-    /// Attaches the profile plane.
+    /// Attaches the profile plane, a view over its metrics plane. That
+    /// metrics plane is attached too when the metrics slot is empty; if
+    /// another metrics plane is attached the profile is refused and
+    /// nothing changes.
     pub fn attach_profile(&self, plane: Rc<ProfilePlane>) -> Result<(), AttachError> {
+        match self.metrics() {
+            // An empty metrics slot means an empty profile slot.
+            None => self.attach_metrics(Rc::clone(plane.metrics()))?,
+            Some(mp) if Rc::ptr_eq(mp, plane.metrics()) => {}
+            Some(_) => return Err(AttachError::AlreadyAttached),
+        }
         attach(&self.profile, plane)
     }
 
@@ -173,15 +184,12 @@ impl Observer {
     // -- the hot path (zero allocations) ------------------------------------
 
     /// Charges `cost` to the clock and attributes it to component `c`
-    /// in the metrics and profile ledgers.
+    /// in the metrics plane's ledger.
     #[inline]
     pub fn charge(&self, c: Component, cost: Cycles) {
         self.clock.charge(cost);
         if let Some(mp) = self.metrics() {
             mp.charge(c, cost);
-        }
-        if let Some(pp) = self.profile() {
-            pp.charge(c, cost);
         }
     }
 
@@ -267,9 +275,10 @@ impl Observer {
 
     // -- per-graft: install-time tags gate everything below -----------------
 
-    /// Interns graft `name` in every attached plane, announces the
-    /// install, and pre-sizes the profile's per-PC arrays for a
-    /// `prog_len`-instruction program. Install time: may allocate.
+    /// Interns graft `name` in the attached trace and metrics planes,
+    /// announces the install, and registers the graft with the profile
+    /// (per-PC arrays sized for a `prog_len`-instruction program).
+    /// Install time: may allocate.
     pub fn install(&self, name: &str, prog_len: usize) -> GraftTags {
         let trace = self.trace().map(|tp| {
             let tag = tp.tag(name);
@@ -281,16 +290,19 @@ impl Observer {
             mp.mark_install(tag);
             tag
         });
-        let profile = self.profile().map(|pp| {
-            let tag = pp.tag(name);
-            pp.register_program(tag, prog_len);
-            tag
-        });
+        let profile = match (metrics, self.profile()) {
+            (Some(tag), Some(pp)) => {
+                pp.register_program(tag, prog_len);
+                true
+            }
+            _ => false,
+        };
         GraftTags { trace, metrics, profile, fault: self.fault().is_some() }
     }
 
     /// Opens an invocation bracket: `graft.invoke`, the metrics
-    /// latency stamp and the profile span.
+    /// bracket (latency stamp and attribution frame), and a rewound
+    /// profile call stack.
     #[inline]
     pub fn begin_invocation(&self, tags: &GraftTags) {
         if let (Some(tag), Some(tp)) = (tags.trace, self.trace()) {
@@ -298,9 +310,9 @@ impl Observer {
         }
         if let (Some(tag), Some(mp)) = (tags.metrics, self.metrics()) {
             mp.begin_invocation(tag);
-        }
-        if let (Some(tag), Some(pp)) = (tags.profile, self.profile()) {
-            pp.begin_invocation(tag);
+            if let Some(pp) = self.profiled(tags) {
+                pp.reset_stack(tag);
+            }
         }
     }
 
@@ -315,11 +327,19 @@ impl Observer {
             }
         }
         if let Some(mp) = tags.metrics.and(self.metrics()) {
+            // The profile's invocation span reads the bracket, so it
+            // goes first.
+            if let Some(pp) = self.profiled(tags) {
+                pp.end_invocation(committed);
+            }
             mp.end_invocation(committed);
         }
-        if let Some(pp) = tags.profile.and(self.profile()) {
-            pp.end_invocation(committed);
-        }
+    }
+
+    /// The profile plane, if `tags` says the graft is profiled.
+    #[inline]
+    fn profiled(&self, tags: &GraftTags) -> Option<&Rc<ProfilePlane>> {
+        self.profile().filter(|_| tags.profile)
     }
 
     /// Records a dead-graft invocation served by the fallback path; an
@@ -331,19 +351,17 @@ impl Observer {
         if let (Some(tag), Some(mp)) = (tags.metrics, self.metrics()) {
             mp.mark_fallback(tag);
         }
-        if let Some(pp) = tags.profile.and(self.profile()) {
-            pp.mark_fallback();
-        }
     }
 
     /// The tags graft `name` has in the planes attached *now*, interning
     /// it where needed (off the hot path). For fallbacks raised outside
-    /// the graft instance, such as a dead packet filter.
+    /// the graft instance, such as a dead packet filter; the profile
+    /// does not register the graft.
     pub fn tags_of(&self, name: &str) -> GraftTags {
         GraftTags {
             trace: self.trace().map(|tp| tp.tag(name)),
             metrics: self.metrics().map(|mp| mp.tag(name)),
-            profile: self.profile().map(|pp| pp.tag(name)),
+            profile: false,
             fault: self.fault().is_some(),
         }
     }
@@ -359,18 +377,15 @@ impl Observer {
         }
     }
 
-    /// One retired GraftVM instruction at `pc`: charges the clock and
-    /// bills `cost` to component `c` in the planes `tags` names.
+    /// One retired GraftVM instruction at `pc`: charges the clock,
+    /// attributes `cost` to component `c` once, and bills the profile's
+    /// per-PC arrays, in the planes `tags` names.
     #[inline]
     pub fn retire(&self, tags: &GraftTags, pc: usize, c: Component, cost: Cycles) {
         self.clock.charge(cost);
-        if tags.metrics.is_some() {
-            if let Some(mp) = self.metrics() {
-                mp.charge(c, cost);
-            }
-        }
-        if let Some(tag) = tags.profile {
-            if let Some(pp) = self.profile() {
+        if let (Some(tag), Some(mp)) = (tags.metrics, self.metrics()) {
+            mp.charge(c, cost);
+            if let Some(pp) = self.profiled(tags) {
                 pp.record_pc(tag, pc, c, cost);
             }
         }
@@ -480,8 +495,8 @@ mod tests {
         assert_eq!(obs.attach_trace(tp), Err(AttachError::AlreadyAttached));
         let mp = MetricsPlane::new(Rc::clone(&clock));
         assert_eq!(obs.attach_metrics(Rc::clone(&mp)), Ok(()));
-        assert_eq!(obs.attach_metrics(mp), Err(AttachError::AlreadyAttached));
-        let pp = ProfilePlane::new(Rc::clone(&clock));
+        assert_eq!(obs.attach_metrics(Rc::clone(&mp)), Err(AttachError::AlreadyAttached));
+        let pp = ProfilePlane::new(&mp);
         assert_eq!(obs.attach_profile(Rc::clone(&pp)), Ok(()));
         assert_eq!(obs.attach_profile(pp), Err(AttachError::AlreadyAttached));
         let wp = WatchPlane::new(Rc::clone(&clock));
@@ -509,14 +524,12 @@ mod tests {
     }
 
     #[test]
-    fn charge_moves_the_clock_and_both_ledgers_alike() {
+    fn charge_moves_the_clock_and_the_ledger_alike() {
         let obs = observer();
         obs.charge(Component::Lock, Cycles(7));
         assert_eq!(obs.clock().now(), Cycles(7), "charging without planes still advances time");
         let mp = MetricsPlane::new(Rc::clone(obs.clock()));
-        let pp = ProfilePlane::new(Rc::clone(obs.clock()));
         obs.attach_metrics(Rc::clone(&mp)).unwrap();
-        obs.attach_profile(Rc::clone(&pp)).unwrap();
         let tags = obs.install("g", 4);
         obs.charge(Component::Indirection, Cycles(120));
         obs.begin_invocation(&tags);
@@ -524,9 +537,44 @@ mod tests {
         obs.retire(&tags, 0, Component::GraftFn, Cycles(1));
         obs.end_invocation(&tags, true);
         let ma = mp.attribution(tags.metrics.unwrap()).unwrap();
-        assert_eq!(ma, pp.attribution(tags.profile.unwrap()).unwrap());
         assert_eq!(ma.total(), Cycles(157));
         assert_eq!(obs.clock().now(), Cycles(164));
+    }
+
+    #[test]
+    fn a_profile_attached_alone_brings_its_metrics_plane() {
+        let obs = observer();
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        let pp = ProfilePlane::new(&mp);
+        assert_eq!(obs.attach_profile(Rc::clone(&pp)), Ok(()));
+        assert!(Rc::ptr_eq(obs.metrics().expect("attached with the profile"), &mp));
+        assert!(Rc::ptr_eq(obs.profile().expect("attached"), &pp));
+        let tags = obs.install("g", 4);
+        assert!(tags.profile);
+        assert_eq!(tags.metrics, Some(mp.tag("g")), "the profile keys grafts by metrics tag");
+    }
+
+    #[test]
+    fn a_profile_over_the_attached_metrics_plane_is_accepted() {
+        let obs = observer();
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        let pp = ProfilePlane::new(&mp);
+        assert_eq!(obs.attach_profile(Rc::clone(&pp)), Ok(()));
+        assert!(Rc::ptr_eq(obs.profile().expect("attached"), &pp));
+        assert!(Rc::ptr_eq(obs.metrics().expect("still attached"), &mp));
+    }
+
+    #[test]
+    fn a_profile_over_another_metrics_plane_is_refused() {
+        let obs = observer();
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        let other = MetricsPlane::new(Rc::clone(obs.clock()));
+        let pp = ProfilePlane::new(&other);
+        assert_eq!(obs.attach_profile(pp), Err(AttachError::AlreadyAttached));
+        assert!(obs.profile().is_none(), "nothing is attached");
+        assert!(Rc::ptr_eq(obs.metrics().expect("unchanged"), &mp));
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! [`AttachError::AlreadyAttached`], so two planes can never split one
 //! kind of record stream.
 //!
+//! The profile plane is a view over one metrics plane
+//! ([`crate::profile::ProfilePlane::new`]). Attaching it also attaches
+//! that metrics plane when the metrics slot is empty; it is accepted
+//! when its metrics plane is the attached one (`Rc::ptr_eq`), and
+//! refused with [`AttachError::AlreadyAttached`] otherwise, with
+//! nothing attached.
+//!
 //! Two orderings are part of the contract:
 //!
 //! - A graft binds the planes attached when it is *installed*

@@ -33,11 +33,14 @@
 //! - **Deterministic.** Driven entirely by the virtual clock, so two
 //!   same-seed runs render byte-identical output
 //!   (`tests/profile_golden.rs`, `tests/survival.rs`).
-//! - **Reconciles with the metrics ledger.** The plane embeds the same
-//!   bracketed attribution ledger as [`crate::metrics::MetricsPlane`]
-//!   and is fed by the same [`crate::obs::Observer`] charges, so
-//!   per-component sums agree *exactly* with the Table-3 attribution
-//!   (asserted in `crates/bench/src/table3.rs`).
+//! - **A view over the metrics plane.** The plane is built over one
+//!   [`MetricsPlane`] ([`ProfilePlane::new`]) and keeps only what that
+//!   plane lacks: per-PC arrays, call trees and spans, keyed by the
+//!   metrics plane's [`MetricTag`]. Graft names, the per-component
+//!   attribution, the kernel ledger, invocation counts and the open
+//!   invocation bracket are read from the metrics plane, so there is
+//!   one Table-3 ledger per kernel and the profile cannot disagree
+//!   with it.
 //!
 //! Recording a profile never charges the clock: attaching a profile
 //! plane is observation, not perturbation.
@@ -47,15 +50,8 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::clock::{Cycles, VirtualClock};
-use crate::ledger::Ledger;
-use crate::metrics::{Attribution, Component};
-
-/// Interned graft-name handle, the profile twin of
-/// [`crate::metrics::MetricTag`]. Interning happens at install time;
-/// every hot-path call passes the `Copy` tag.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProfTag(pub u16);
+use crate::clock::Cycles;
+use crate::metrics::{Component, MetricTag, MetricsPlane};
 
 /// Default span-buffer capacity; overflow is dropped and counted.
 const DEFAULT_SPAN_CAP: usize = 4096;
@@ -126,12 +122,11 @@ impl SpanKind {
 #[derive(Debug, Clone, Copy)]
 struct Span {
     kind: SpanKind,
-    /// Interned graft tag, or `u16::MAX` for kernel-side spans.
-    tag: u16,
     start: Cycles,
     dur: Cycles,
-    /// For [`SpanKind::Invocation`]: true when the invocation aborted.
-    aborted: bool,
+    /// For [`SpanKind::Invocation`]: the graft, and true when the
+    /// invocation aborted.
+    graft: Option<(MetricTag, bool)>,
 }
 
 // ---------------------------------------------------------------------------
@@ -158,10 +153,11 @@ struct Node {
 const ROOT: u32 = 0;
 
 // ---------------------------------------------------------------------------
-// Per-graft slots and invocation frames.
+// Per-graft slots.
 // ---------------------------------------------------------------------------
 
-/// Per-graft profile state, one slot per interned tag.
+/// Per-graft profile state, one slot per graft installed while the
+/// plane was attached.
 #[derive(Debug)]
 struct GraftProf {
     /// Program length; sizes the per-PC arrays.
@@ -221,72 +217,62 @@ pub struct HotFn {
 
 /// The shared profiling plane handle (see module docs).
 ///
-/// Create once (it comes wrapped in `Rc`) and attach to a kernel's
-/// [`crate::obs::Observer`] with `Kernel::attach_profile_plane`.
+/// Create once over a metrics plane (it comes wrapped in `Rc`) and
+/// attach to a kernel's [`crate::obs::Observer`] with
+/// `Kernel::attach_profile_plane`, which also attaches that metrics
+/// plane if none is attached yet.
 #[derive(Debug)]
 pub struct ProfilePlane {
-    clock: Rc<VirtualClock>,
-    grafts: RefCell<Vec<GraftProf>>,
-    names: RefCell<Vec<String>>,
-    tags: RefCell<HashMap<String, ProfTag>>,
-    /// The bracketed per-graft attribution (shared design with the
-    /// metrics plane).
-    ledger: Ledger,
+    metrics: Rc<MetricsPlane>,
+    /// Indexed by metrics tag; `None` for grafts not installed while
+    /// this plane was attached.
+    grafts: RefCell<Vec<Option<GraftProf>>>,
     spans: RefCell<Vec<Span>>,
     span_cap: usize,
     spans_dropped: Cell<u64>,
 }
 
 impl ProfilePlane {
-    /// Creates a plane stamped by `clock` with default capacities.
-    pub fn new(clock: Rc<VirtualClock>) -> Rc<ProfilePlane> {
-        ProfilePlane::with_capacity(clock, 32, DEFAULT_SPAN_CAP)
+    /// Creates a view over `metrics` with default capacities, stamped
+    /// by the metrics plane's clock.
+    pub fn new(metrics: &Rc<MetricsPlane>) -> Rc<ProfilePlane> {
+        ProfilePlane::with_capacity(metrics, 32, DEFAULT_SPAN_CAP)
     }
 
-    /// Creates a plane with room for `grafts` interned names and
-    /// `spans` recorded spans. The span buffer never grows: overflow is
-    /// dropped and counted ([`Self::spans_dropped`]).
-    pub fn with_capacity(clock: Rc<VirtualClock>, grafts: usize, spans: usize) -> Rc<ProfilePlane> {
+    /// Creates a view over `metrics` with room for `grafts` profiled
+    /// grafts and `spans` recorded spans. The span buffer never grows:
+    /// overflow is dropped and counted ([`Self::spans_dropped`]).
+    pub fn with_capacity(
+        metrics: &Rc<MetricsPlane>,
+        grafts: usize,
+        spans: usize,
+    ) -> Rc<ProfilePlane> {
         Rc::new(ProfilePlane {
-            clock,
+            metrics: Rc::clone(metrics),
             grafts: RefCell::new(Vec::with_capacity(grafts)),
-            names: RefCell::new(Vec::with_capacity(grafts)),
-            tags: RefCell::new(HashMap::with_capacity(grafts)),
-            ledger: Ledger::with_capacity(grafts),
             spans: RefCell::new(Vec::with_capacity(spans)),
             span_cap: spans,
             spans_dropped: Cell::new(0),
         })
     }
 
-    // -- interning ----------------------------------------------------------
-
-    /// Interns `name`, allocating a per-graft slot on first sight
-    /// (install time).
-    pub fn tag(&self, name: &str) -> ProfTag {
-        if let Some(t) = self.tags.borrow().get(name) {
-            return *t;
-        }
-        let mut names = self.names.borrow_mut();
-        let t = ProfTag(names.len() as u16);
-        names.push(name.to_string());
-        self.grafts.borrow_mut().push(GraftProf::new());
-        self.ledger.add_graft();
-        self.tags.borrow_mut().insert(name.to_string(), t);
-        t
+    /// The metrics plane this profile is a view over: graft names,
+    /// tags and the per-component attribution live there.
+    pub fn metrics(&self) -> &Rc<MetricsPlane> {
+        &self.metrics
     }
 
-    /// The interned name for `tag` (`?tagN` for unknown tags).
-    pub fn name_of(&self, tag: ProfTag) -> String {
-        self.names.borrow().get(tag.0 as usize).cloned().unwrap_or_else(|| format!("?tag{}", tag.0))
-    }
-
-    /// Sizes `tag`'s per-PC arrays for a program of `len` instructions
-    /// (install time; the arrays only ever grow, so re-installs of a
-    /// longer program under the same name stay in bounds).
-    pub fn register_program(&self, tag: ProfTag, len: usize) {
+    /// Profiles graft `tag` and sizes its per-PC arrays for a program
+    /// of `len` instructions (install time; the arrays only ever grow,
+    /// so re-installs of a longer program under the same name stay in
+    /// bounds).
+    pub fn register_program(&self, tag: MetricTag, len: usize) {
         let mut grafts = self.grafts.borrow_mut();
-        let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
+        let i = tag.0 as usize;
+        if grafts.len() <= i {
+            grafts.resize_with(i + 1, || None);
+        }
+        let g = grafts[i].get_or_insert_with(GraftProf::new);
         if len > g.prog_len {
             g.prog_len = len;
             g.pc_cycles.resize(len, 0);
@@ -297,24 +283,14 @@ impl ProfilePlane {
 
     // -- hot-path recording -------------------------------------------------
 
-    /// Attributes a host-side `cost` to component `c` of the innermost
-    /// open invocation, with exactly the bracket semantics of
-    /// [`crate::metrics::MetricsPlane::charge`] — pending indirection
-    /// and the kernel ledger included — so the two planes reconcile.
-    /// Zero-allocation.
-    pub fn charge(&self, c: Component, cost: Cycles) {
-        self.ledger.charge(c, cost);
-    }
-
     /// Bills one retired instruction: `cost` cycles of component `c`
     /// (the VM only bills [`Component::GraftFn`] and
     /// [`Component::Sfi`]) at program counter `pc` of graft `tag`.
-    /// Updates the per-PC ledger, the current call-tree node, and the
-    /// bracketed component attribution. Zero-allocation.
-    pub fn record_pc(&self, tag: ProfTag, pc: usize, c: Component, cost: Cycles) {
-        self.ledger.charge(c, cost);
+    /// Updates the per-PC arrays and the current call-tree node; the
+    /// component attribution is the metrics plane's. Zero-allocation.
+    pub fn record_pc(&self, tag: MetricTag, pc: usize, c: Component, cost: Cycles) {
         let mut grafts = self.grafts.borrow_mut();
-        let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
+        let Some(Some(g)) = grafts.get_mut(tag.0 as usize) else { return };
         g.instrs += 1;
         let sfi = c == Component::Sfi;
         if pc < g.prog_len {
@@ -335,9 +311,9 @@ impl ProfilePlane {
     /// Descends into the function at `entry` (a `calll` retired by the
     /// VM). Allocates only on the first sight of a (caller, callee)
     /// edge.
-    pub fn enter_fn(&self, tag: ProfTag, entry: u32) {
+    pub fn enter_fn(&self, tag: MetricTag, entry: u32) {
         let mut grafts = self.grafts.borrow_mut();
-        let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
+        let Some(Some(g)) = grafts.get_mut(tag.0 as usize) else { return };
         let cur = g.cur;
         let next = match g.edges.get(&(cur, entry)) {
             Some(n) => *n,
@@ -354,84 +330,53 @@ impl ProfilePlane {
     }
 
     /// Returns from the current function (a `ret` retired by the VM).
-    pub fn exit_fn(&self, tag: ProfTag) {
+    pub fn exit_fn(&self, tag: MetricTag) {
         let mut grafts = self.grafts.borrow_mut();
-        let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
+        let Some(Some(g)) = grafts.get_mut(tag.0 as usize) else { return };
         g.cur = g.stack.pop().unwrap_or(ROOT);
     }
 
-    /// Rewinds `tag`'s call stack to the root (VM reset: a fresh run
-    /// starts at pc 0 with an empty call stack).
-    pub fn reset_stack(&self, tag: ProfTag) {
+    /// Rewinds `tag`'s call stack to the root: a VM reset or a new
+    /// invocation starts at pc 0 with an empty call stack.
+    pub fn reset_stack(&self, tag: MetricTag) {
         let mut grafts = self.grafts.borrow_mut();
-        let Some(g) = grafts.get_mut(tag.0 as usize) else { return };
+        let Some(Some(g)) = grafts.get_mut(tag.0 as usize) else { return };
         g.stack.clear();
         g.cur = ROOT;
     }
 
-    /// Opens an invocation bracket for `tag`: claims any pending
-    /// dispatch charge, stamps the span start, and rewinds the call
-    /// stack. Zero-allocation.
-    pub fn begin_invocation(&self, tag: ProfTag) {
-        self.ledger.begin(tag.0, self.clock.now());
-        let mut grafts = self.grafts.borrow_mut();
-        if let Some(g) = grafts.get_mut(tag.0 as usize) {
-            g.stack.clear();
-            g.cur = ROOT;
-        }
-    }
-
-    /// Closes the innermost invocation bracket: merges the frame's
-    /// attribution into the graft ledger and records the invocation
-    /// span. Zero-allocation (the span buffer is pre-sized).
+    /// Records the span of the metrics plane's innermost open
+    /// invocation, which is about to close. Zero-allocation (the span
+    /// buffer is pre-sized).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no invocation bracket is open.
     pub fn end_invocation(&self, committed: bool) {
-        let frame = self.ledger.end();
-        let now = self.clock.now();
+        let (tag, start) =
+            self.metrics.current_invocation().expect("end_invocation without begin_invocation");
+        let now = self.metrics.clock().now();
         self.push_span(Span {
             kind: SpanKind::Invocation,
-            tag: frame.tag,
-            start: frame.start,
-            dur: now.saturating_sub(frame.start),
-            aborted: !committed,
+            start,
+            dur: now.saturating_sub(start),
+            graft: Some((tag, !committed)),
         });
-    }
-
-    /// Records a dead-graft invocation refused to the fallback path:
-    /// flushes any unclaimed dispatch charge to the kernel ledger
-    /// (mirroring the metrics plane).
-    pub fn mark_fallback(&self) {
-        self.ledger.flush_pending();
     }
 
     /// Records a child span of `kind` that just finished and lasted
     /// `dur` (subsystems charge the clock at the site, so the span
     /// covers `[now - dur, now]`). Zero-allocation.
     pub fn mark(&self, kind: SpanKind, dur: Cycles) {
-        let now = self.clock.now();
-        self.push_span(Span {
-            kind,
-            tag: self.current_tag(),
-            start: now.saturating_sub(dur),
-            dur,
-            aborted: false,
-        });
+        let now = self.metrics.clock().now();
+        self.push_span(Span { kind, start: now.saturating_sub(dur), dur, graft: None });
     }
 
     /// Records a child span of `kind` that started at `t0` and just
     /// finished. Zero-allocation.
     pub fn mark_since(&self, kind: SpanKind, t0: Cycles) {
-        let now = self.clock.now();
-        self.push_span(Span {
-            kind,
-            tag: self.current_tag(),
-            start: t0,
-            dur: now.saturating_sub(t0),
-            aborted: false,
-        });
-    }
-
-    fn current_tag(&self) -> u16 {
-        self.ledger.current_tag().unwrap_or(u16::MAX)
+        let now = self.metrics.clock().now();
+        self.push_span(Span { kind, start: t0, dur: now.saturating_sub(t0), graft: None });
     }
 
     fn push_span(&self, span: Span) {
@@ -445,36 +390,23 @@ impl ProfilePlane {
 
     // -- introspection ------------------------------------------------------
 
-    /// Interned tags in intern order (install order).
-    pub fn tags_in_order(&self) -> Vec<ProfTag> {
-        (0..self.names.borrow().len() as u16).map(ProfTag).collect()
-    }
-
-    /// The per-component attribution ledger for `tag` — by
-    /// construction equal to the metrics plane's
-    /// [`crate::metrics::MetricsPlane::attribution`] for the same
-    /// graft.
-    pub fn attribution(&self, tag: ProfTag) -> Option<Attribution> {
-        self.ledger.attribution(tag.0)
-    }
-
-    /// Cycles attributed to kernel-side work outside any invocation.
-    pub fn kernel_attribution(&self) -> [u64; Component::COUNT] {
-        self.ledger.kernel()
-    }
-
     /// Instructions retired by `tag`.
-    pub fn instrs_of(&self, tag: ProfTag) -> u64 {
-        self.grafts.borrow().get(tag.0 as usize).map_or(0, |g| g.instrs)
+    pub fn instrs_of(&self, tag: MetricTag) -> u64 {
+        match self.grafts.borrow().get(tag.0 as usize) {
+            Some(Some(g)) => g.instrs,
+            _ => 0,
+        }
     }
 
-    /// Sums of `tag`'s per-PC ledger: (graft-fn cycles, SFI cycles,
+    /// Sums of `tag`'s per-PC arrays: (graft-fn cycles, SFI cycles,
     /// retirements). The component split reconciles exactly with the
-    /// attribution ledger's [`Component::GraftFn`] / [`Component::Sfi`]
-    /// rows.
-    pub fn pc_totals(&self, tag: ProfTag) -> (Cycles, Cycles, u64) {
+    /// metrics plane's [`Component::GraftFn`] / [`Component::Sfi`]
+    /// attribution.
+    pub fn pc_totals(&self, tag: MetricTag) -> (Cycles, Cycles, u64) {
         let grafts = self.grafts.borrow();
-        let Some(g) = grafts.get(tag.0 as usize) else { return (Cycles(0), Cycles(0), 0) };
+        let Some(Some(g)) = grafts.get(tag.0 as usize) else {
+            return (Cycles(0), Cycles(0), 0);
+        };
         let total: u64 = g.pc_cycles.iter().sum();
         let sfi: u64 = g.pc_sfi.iter().sum();
         let hits: u64 = g.pc_hits.iter().sum();
@@ -484,10 +416,10 @@ impl ProfilePlane {
     /// `tag`'s per-PC cycles aggregated into buckets of `bucket` pcs:
     /// `(first_pc, total_cycles, sfi_cycles, hits)` per non-empty
     /// bucket.
-    pub fn pc_buckets(&self, tag: ProfTag, bucket: usize) -> Vec<(usize, u64, u64, u64)> {
+    pub fn pc_buckets(&self, tag: MetricTag, bucket: usize) -> Vec<(usize, u64, u64, u64)> {
         let bucket = bucket.max(1);
         let grafts = self.grafts.borrow();
-        let Some(g) = grafts.get(tag.0 as usize) else { return Vec::new() };
+        let Some(Some(g)) = grafts.get(tag.0 as usize) else { return Vec::new() };
         let mut out = Vec::new();
         let mut pc = 0;
         while pc < g.prog_len {
@@ -516,11 +448,10 @@ impl ProfilePlane {
     /// The top-`n` functions across all grafts by self cycles
     /// (SFI included in the ranking key, reported separately).
     pub fn top_functions(&self, n: usize) -> Vec<HotFn> {
-        let names = self.names.borrow();
         let grafts = self.grafts.borrow();
         // (graft, entry) → merged totals across call-tree nodes.
         let mut merged: Vec<HotFn> = Vec::new();
-        for (gi, g) in grafts.iter().enumerate() {
+        for (tag, g) in profiled(&grafts) {
             let mut per_fn: HashMap<u32, (u64, u64, u64)> = HashMap::new();
             for node in &g.nodes {
                 let e = per_fn.entry(node.entry).or_insert((0, 0, 0));
@@ -533,10 +464,10 @@ impl ProfilePlane {
                     continue;
                 }
                 if entry == 0 {
-                    calls = self.ledger.attribution(gi as u16).map_or(0, |a| a.invocations);
+                    calls = self.metrics.attribution(tag).map_or(0, |a| a.invocations);
                 }
                 merged.push(HotFn {
-                    graft: names[gi].clone(),
+                    graft: self.metrics.name_of(tag),
                     entry,
                     self_cycles: cycles,
                     sfi_cycles: sfi,
@@ -562,13 +493,11 @@ impl ProfilePlane {
     /// frames and `[component]` frames for the host-side envelope), in
     /// deterministic order. Pipe through `flamegraph.pl` to get an SVG.
     pub fn folded(&self) -> String {
-        let names = self.names.borrow();
         let grafts = self.grafts.borrow();
         let mut out = String::new();
-        for (gi, g) in grafts.iter().enumerate() {
-            let name = &names[gi];
-            let comps =
-                self.ledger.attribution(gi as u16).map_or([0; Component::COUNT], |a| a.cycles);
+        for (tag, g) in profiled(&grafts) {
+            let name = self.metrics.name_of(tag);
+            let comps = self.metrics.attribution(tag).map_or([0; Component::COUNT], |a| a.cycles);
             // Host-side envelope components as single synthetic frames.
             for c in Component::ALL {
                 if c == Component::GraftFn || c == Component::Sfi {
@@ -612,7 +541,7 @@ impl ProfilePlane {
                 }
             }
         }
-        let kernel = self.ledger.kernel();
+        let kernel = self.metrics.kernel_attribution();
         for c in Component::ALL {
             let v = kernel[c as usize];
             if v > 0 {
@@ -647,23 +576,22 @@ impl ProfilePlane {
     /// containment. Timestamps and durations are microseconds of
     /// virtual time. Deterministic: spans render in record order.
     pub fn chrome_trace(&self) -> String {
-        let names = self.names.borrow();
         let spans = self.spans.borrow();
         let mut out = String::from("{\"traceEvents\":[");
         for (i, s) in spans.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            let name = match s.kind {
-                SpanKind::Invocation => {
-                    let graft = names.get(s.tag as usize).map(String::as_str).unwrap_or("?");
-                    if s.aborted {
+            let name = match s.graft {
+                Some((tag, aborted)) => {
+                    let graft = self.metrics.name_of(tag);
+                    if aborted {
                         format!("invoke:{graft}!abort")
                     } else {
                         format!("invoke:{graft}")
                     }
                 }
-                kind => kind.label().to_string(),
+                None => s.kind.label().to_string(),
             };
             let _ = write!(
                 out,
@@ -696,6 +624,12 @@ impl ProfilePlane {
     }
 }
 
+/// The profiled grafts in tag order, skipping tags the plane never
+/// saw installed.
+fn profiled(grafts: &[Option<GraftProf>]) -> impl Iterator<Item = (MetricTag, &GraftProf)> {
+    grafts.iter().enumerate().filter_map(|(i, g)| Some((MetricTag(i as u16), g.as_ref()?)))
+}
+
 fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -714,39 +648,35 @@ fn escape_json(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::VirtualClock;
+    use crate::obs::{GraftTags, Observer};
 
-    fn plane() -> (Rc<ProfilePlane>, Rc<VirtualClock>) {
-        let clock = VirtualClock::new();
-        (ProfilePlane::new(Rc::clone(&clock)), clock)
-    }
-
-    #[test]
-    fn tags_intern_and_stay_stable() {
-        let (pp, _) = plane();
-        let a = pp.tag("ra");
-        let b = pp.tag("evict");
-        assert_eq!(pp.tag("ra"), a);
-        assert_ne!(a, b);
-        assert_eq!(pp.name_of(a), "ra");
-        assert_eq!(pp.name_of(ProfTag(99)), "?tag99");
+    /// An observer with a profile attached (and, through it, its
+    /// metrics plane), and graft `name` installed with room for `len`
+    /// instructions.
+    fn installed(name: &str, len: usize) -> (Rc<Observer>, Rc<ProfilePlane>, GraftTags) {
+        let obs = Observer::new(VirtualClock::new());
+        let pp = ProfilePlane::new(&MetricsPlane::new(Rc::clone(obs.clock())));
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        let tags = obs.install(name, len);
+        (obs, pp, tags)
     }
 
     #[test]
     fn per_pc_ledger_reconciles_with_components() {
-        let (pp, _) = plane();
-        let t = pp.tag("g");
-        pp.register_program(t, 8);
-        pp.begin_invocation(t);
-        pp.record_pc(t, 0, Component::GraftFn, Cycles(10));
-        pp.record_pc(t, 1, Component::Sfi, Cycles(4));
-        pp.record_pc(t, 1, Component::Sfi, Cycles(4));
-        pp.record_pc(t, 7, Component::GraftFn, Cycles(35));
-        pp.end_invocation(true);
+        let (obs, pp, tags) = installed("g", 8);
+        let t = tags.metrics.unwrap();
+        obs.begin_invocation(&tags);
+        obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
+        obs.retire(&tags, 1, Component::Sfi, Cycles(4));
+        obs.retire(&tags, 1, Component::Sfi, Cycles(4));
+        obs.retire(&tags, 7, Component::GraftFn, Cycles(35));
+        obs.end_invocation(&tags, true);
         let (fn_c, sfi_c, hits) = pp.pc_totals(t);
         assert_eq!(fn_c, Cycles(45));
         assert_eq!(sfi_c, Cycles(8));
         assert_eq!(hits, 4);
-        let a = pp.attribution(t).unwrap();
+        let a = pp.metrics().attribution(t).unwrap();
         assert_eq!(a.of(Component::GraftFn), fn_c);
         assert_eq!(a.of(Component::Sfi), sfi_c);
         assert_eq!(pp.instrs_of(t), 4);
@@ -754,20 +684,19 @@ mod tests {
 
     #[test]
     fn call_tree_folds_by_path() {
-        let (pp, _) = plane();
-        let t = pp.tag("g");
-        pp.register_program(t, 32);
-        pp.begin_invocation(t);
-        pp.record_pc(t, 0, Component::GraftFn, Cycles(5));
+        let (obs, pp, tags) = installed("g", 32);
+        let t = tags.metrics.unwrap();
+        obs.begin_invocation(&tags);
+        obs.retire(&tags, 0, Component::GraftFn, Cycles(5));
         pp.enter_fn(t, 10);
-        pp.record_pc(t, 10, Component::GraftFn, Cycles(7));
-        pp.record_pc(t, 11, Component::Sfi, Cycles(4));
+        obs.retire(&tags, 10, Component::GraftFn, Cycles(7));
+        obs.retire(&tags, 11, Component::Sfi, Cycles(4));
         pp.enter_fn(t, 20);
-        pp.record_pc(t, 20, Component::GraftFn, Cycles(9));
+        obs.retire(&tags, 20, Component::GraftFn, Cycles(9));
         pp.exit_fn(t);
-        pp.record_pc(t, 12, Component::GraftFn, Cycles(3));
+        obs.retire(&tags, 12, Component::GraftFn, Cycles(3));
         pp.exit_fn(t);
-        pp.end_invocation(true);
+        obs.end_invocation(&tags, true);
         let folded = pp.folded();
         assert!(folded.contains("g;fn@0 5\n"), "{folded}");
         assert!(folded.contains("g;fn@0;fn@10 10\n"), "{folded}");
@@ -777,61 +706,54 @@ mod tests {
 
     #[test]
     fn recursive_paths_get_distinct_nodes() {
-        let (pp, _) = plane();
-        let t = pp.tag("g");
-        pp.register_program(t, 8);
-        pp.begin_invocation(t);
+        let (obs, pp, tags) = installed("g", 8);
+        let t = tags.metrics.unwrap();
+        obs.begin_invocation(&tags);
         pp.enter_fn(t, 4);
-        pp.record_pc(t, 4, Component::GraftFn, Cycles(1));
+        obs.retire(&tags, 4, Component::GraftFn, Cycles(1));
         pp.enter_fn(t, 4);
-        pp.record_pc(t, 4, Component::GraftFn, Cycles(1));
+        obs.retire(&tags, 4, Component::GraftFn, Cycles(1));
         pp.exit_fn(t);
         pp.exit_fn(t);
-        pp.end_invocation(true);
+        obs.end_invocation(&tags, true);
         let folded = pp.folded();
         assert!(folded.contains("g;fn@0;fn@4 1\n"), "{folded}");
         assert!(folded.contains("g;fn@0;fn@4;fn@4 1\n"), "{folded}");
     }
 
     #[test]
-    fn bracket_semantics_mirror_metrics() {
-        use crate::metrics::MetricsPlane;
-        let clock = VirtualClock::new();
-        let pp = ProfilePlane::new(Rc::clone(&clock));
-        let mp = MetricsPlane::new(Rc::clone(&clock));
-        let pt = pp.tag("g");
-        let mt = mp.tag("g");
-        pp.register_program(pt, 4);
-        // Pending indirection claimed by the next bracket; kernel-side
-        // charges land in the kernel ledger — on both planes alike.
-        for (c, cost) in [(Component::Lock, Cycles(55)), (Component::Indirection, Cycles(120))] {
-            pp.charge(c, cost);
-            mp.charge(c, cost);
+    fn renderers_skip_grafts_the_profile_never_saw_installed() {
+        let obs = Observer::new(VirtualClock::new());
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        let early = obs.install("early", 4);
+        let pp = ProfilePlane::new(&mp);
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        let late = obs.install("late", 4);
+        for tags in [early, late] {
+            obs.charge(Component::Indirection, Cycles(120));
+            obs.begin_invocation(&tags);
+            obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
+            obs.end_invocation(&tags, true);
         }
-        pp.begin_invocation(pt);
-        mp.begin_invocation(mt);
-        pp.record_pc(pt, 0, Component::GraftFn, Cycles(10));
-        mp.charge(Component::GraftFn, Cycles(10));
-        pp.charge(Component::TxnBegin, Cycles::from_us(36));
-        mp.charge(Component::TxnBegin, Cycles::from_us(36));
-        pp.end_invocation(true);
-        mp.end_invocation(true);
-        let pa = pp.attribution(pt).unwrap();
-        let ma = mp.attribution(mt).unwrap();
-        assert_eq!(pa, ma);
-        assert_eq!(pp.kernel_attribution(), mp.kernel_attribution());
+        assert_eq!(mp.attribution(early.metrics.unwrap()).unwrap().invocations, 1);
+        let snap = pp.snapshot();
+        assert!(!snap.contains("early"), "{snap}");
+        assert!(snap.contains("late;[indirection] 120\n"), "{snap}");
+        assert_eq!(pp.span_count(), 1, "one invocation span, for `late`");
     }
 
     #[test]
     fn spans_record_and_cap() {
-        let clock = VirtualClock::new();
-        let pp = ProfilePlane::with_capacity(Rc::clone(&clock), 4, 2);
-        let t = pp.tag("g");
-        pp.begin_invocation(t);
-        clock.charge(Cycles::from_us(36));
+        let obs = Observer::new(VirtualClock::new());
+        let pp = ProfilePlane::with_capacity(&MetricsPlane::new(Rc::clone(obs.clock())), 4, 2);
+        obs.attach_profile(Rc::clone(&pp)).unwrap();
+        let tags = obs.install("g", 0);
+        obs.begin_invocation(&tags);
+        obs.clock().charge(Cycles::from_us(36));
         pp.mark(SpanKind::TxnBegin, Cycles::from_us(36));
-        clock.charge(Cycles::from_us(30));
-        pp.end_invocation(true);
+        obs.clock().charge(Cycles::from_us(30));
+        obs.end_invocation(&tags, true);
         assert_eq!(pp.span_count(), 2);
         assert_eq!(pp.spans_dropped(), 0);
         pp.mark(SpanKind::RmGrant, Cycles(0));
@@ -845,25 +767,23 @@ mod tests {
 
     #[test]
     fn aborted_invocations_are_named() {
-        let (pp, _) = plane();
-        let t = pp.tag("bad");
-        pp.begin_invocation(t);
-        pp.end_invocation(false);
+        let (obs, pp, tags) = installed("bad", 0);
+        obs.begin_invocation(&tags);
+        obs.end_invocation(&tags, false);
         assert!(pp.chrome_trace().contains("invoke:bad!abort"));
     }
 
     #[test]
     fn top_functions_rank_by_cycles() {
-        let (pp, _) = plane();
-        let t = pp.tag("g");
-        pp.register_program(t, 32);
-        pp.begin_invocation(t);
-        pp.record_pc(t, 0, Component::GraftFn, Cycles(5));
+        let (obs, pp, tags) = installed("g", 32);
+        let t = tags.metrics.unwrap();
+        obs.begin_invocation(&tags);
+        obs.retire(&tags, 0, Component::GraftFn, Cycles(5));
         pp.enter_fn(t, 8);
-        pp.record_pc(t, 8, Component::GraftFn, Cycles(100));
-        pp.record_pc(t, 9, Component::Sfi, Cycles(4));
+        obs.retire(&tags, 8, Component::GraftFn, Cycles(100));
+        obs.retire(&tags, 9, Component::Sfi, Cycles(4));
         pp.exit_fn(t);
-        pp.end_invocation(true);
+        obs.end_invocation(&tags, true);
         let top = pp.top_functions(10);
         assert_eq!(top[0].entry, 8);
         assert_eq!(top[0].self_cycles, 100);
@@ -875,13 +795,11 @@ mod tests {
 
     #[test]
     fn snapshot_is_deterministic() {
-        let (pp, clock) = plane();
-        let t = pp.tag("g");
-        pp.register_program(t, 4);
-        pp.begin_invocation(t);
-        pp.record_pc(t, 0, Component::GraftFn, Cycles(10));
-        clock.charge(Cycles(100));
-        pp.end_invocation(true);
+        let (obs, pp, tags) = installed("g", 4);
+        obs.begin_invocation(&tags);
+        obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
+        obs.clock().charge(Cycles(100));
+        obs.end_invocation(&tags, true);
         assert_eq!(pp.snapshot(), pp.snapshot());
     }
 }

@@ -217,10 +217,10 @@ impl Vm {
         }
     }
 
-    /// The profile plane and this graft's tag in it, if it bills one.
-    fn profiled(&self) -> Option<(&Rc<vino_sim::ProfilePlane>, vino_sim::ProfTag)> {
+    /// The profile plane and this graft's metrics tag, if it bills one.
+    fn profiled(&self) -> Option<(&Rc<vino_sim::ProfilePlane>, vino_sim::MetricTag)> {
         let (obs, tags) = self.obs.as_ref()?;
-        Some((obs.profile()?, tags.profile?))
+        Some((obs.profile().filter(|_| tags.profile)?, tags.metrics?))
     }
 
     fn emit(&self, ev: TraceEvent) {

@@ -12,6 +12,7 @@ use vino::core::engine::InvokeOutcome;
 use vino::core::kernel::point_names;
 use vino::core::{InstallOpts, Kernel};
 use vino::rm::{Limits, ResourceKind};
+use vino::sim::metrics::MetricsPlane;
 use vino::sim::profile::ProfilePlane;
 use vino::txn::locks::LockClass;
 
@@ -47,7 +48,7 @@ leaf:
 
 fn main() {
     let kernel = Kernel::boot();
-    let profile = ProfilePlane::new(Rc::clone(&kernel.clock));
+    let profile = ProfilePlane::new(&MetricsPlane::new(Rc::clone(&kernel.clock)));
     kernel.attach_profile_plane(Rc::clone(&profile)).expect("first attach");
 
     let app = kernel.create_app(Limits::of(&[(ResourceKind::KernelHeap, 1 << 20)]));

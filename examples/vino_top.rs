@@ -29,8 +29,9 @@ fn main() {
     assert_eq!(kernel.attach_metrics_plane(second), Err(AttachError::AlreadyAttached));
     assert!(Rc::ptr_eq(&kernel.metrics().expect("attached"), &plane));
 
-    // The profile plane rides along: same charge sites, finer grain.
-    let profile = ProfilePlane::new(Rc::clone(&kernel.clock));
+    // The profile plane rides along: a view over the same ledger, at
+    // per-PC grain.
+    let profile = ProfilePlane::new(&plane);
     kernel.attach_profile_plane(Rc::clone(&profile)).expect("first attach");
 
     // The watch plane turns the metrics stream into SLO alerts, and a

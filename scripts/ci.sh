@@ -33,6 +33,10 @@ cargo test -q --test metrics_golden
 echo "== golden profile snapshots (fails on drift; UPDATE_GOLDENS=1 to regenerate) =="
 cargo test -q --test profile_golden
 
+echo "== profile-plane examples (flame graph, vino_top) =="
+cargo run -q --release --example flamegraph
+cargo run -q --release --example vino_top
+
 echo "== golden timelines (fails on drift; UPDATE_GOLDENS=1 to regenerate) =="
 cargo test -q --test timeline_golden
 

@@ -34,7 +34,7 @@ fn grafts_installed_before_an_attach_never_feed_the_plane() {
     let k = Kernel::boot();
     let early = install(&k, "early", LOOP);
     let mp = MetricsPlane::new(Rc::clone(&k.clock));
-    let pp = ProfilePlane::new(Rc::clone(&k.clock));
+    let pp = ProfilePlane::new(&mp);
     k.attach_metrics_plane(Rc::clone(&mp)).unwrap();
     k.attach_profile_plane(Rc::clone(&pp)).unwrap();
     for _ in 0..4 {
@@ -42,19 +42,20 @@ fn grafts_installed_before_an_attach_never_feed_the_plane() {
     }
     assert_eq!(mp.get(Counter::VmInstrs), 0, "pre-attach graft retired into the plane");
     assert_eq!(mp.get(Counter::GraftInvocations), 0);
-    let early_attr = mp.attribution(mp.tag("early")).unwrap();
+    let early_tag = mp.tag("early");
+    let early_attr = mp.attribution(early_tag).unwrap();
     assert_eq!((early_attr.total().get(), early_attr.invocations), (0, 0));
-    let early_prof = pp.tag("early");
-    assert_eq!(pp.pc_totals(early_prof), (Default::default(), Default::default(), 0));
-    assert_eq!(pp.attribution(early_prof).unwrap().total().get(), 0);
+    assert_eq!(pp.pc_totals(early_tag), (Default::default(), Default::default(), 0));
+    assert_eq!(pp.metrics().attribution(early_tag).unwrap().total().get(), 0);
 
     let late = install(&k, "late", LOOP);
     assert!(matches!(late.borrow_mut().invoke([0; 4]), InvokeOutcome::Ok { .. }));
     assert!(mp.get(Counter::VmInstrs) > 0, "post-attach graft must retire into the plane");
-    let late_attr = mp.attribution(mp.tag("late")).unwrap();
+    let late_tag = mp.tag("late");
+    let late_attr = mp.attribution(late_tag).unwrap();
     assert_eq!(late_attr.invocations, 1);
     assert!(late_attr.of(Component::GraftFn).get() > 0);
-    let (graft_fn, _, hits) = pp.pc_totals(pp.tag("late"));
+    let (graft_fn, _, hits) = pp.pc_totals(late_tag);
     assert_eq!(graft_fn, late_attr.of(Component::GraftFn));
     assert_eq!(hits, mp.get(Counter::VmInstrs));
 }

@@ -24,6 +24,7 @@ use vino::core::kernel::point_names;
 use vino::core::{InstallError, InstallOpts, Kernel};
 use vino::rm::{Limits, ResourceKind};
 use vino::sim::fault::{FaultPlane, FaultSite};
+use vino::sim::metrics::MetricsPlane;
 use vino::sim::profile::ProfilePlane;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -65,7 +66,7 @@ fn check_golden(name: &str, got: &str) {
 
 fn boot_profiled() -> (Rc<Kernel>, Rc<ProfilePlane>) {
     let k = Kernel::boot();
-    let pp = ProfilePlane::new(Rc::clone(&k.clock));
+    let pp = ProfilePlane::new(&MetricsPlane::new(Rc::clone(&k.clock)));
     k.attach_profile_plane(Rc::clone(&pp)).unwrap();
     (k, pp)
 }
@@ -140,7 +141,8 @@ fn golden_quarantine_trip_profile() {
         .install_function_graft(point_names::COMPUTE_RA, &image, app, t, &InstallOpts::default())
         .unwrap_err();
     assert!(matches!(refused, InstallError::Quarantined { .. }));
-    let attr = pp.attribution(pp.tag("div0")).unwrap();
+    let mp = pp.metrics();
+    let attr = mp.attribution(mp.tag("div0")).unwrap();
     assert_eq!(attr.invocations, 3, "reinstalls share one profile tag");
     check_golden("quarantine", &pp.snapshot());
 }
