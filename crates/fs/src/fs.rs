@@ -528,31 +528,36 @@ impl FileSystem {
         self.crash_point(FaultSite::KernelCrashBeforeJournal)?;
         let cap = self.sb.journal_capacity().max(1);
         for chunk in targets.chunks(cap) {
-            let seq = self.next_seq;
+            let desc = JournalDescriptor {
+                seq: self.next_seq,
+                entries: chunk.iter().map(|(home, data)| (*home, checksum64(data))).collect(),
+            };
             self.next_seq += 1;
-            self.commit_record(seq, chunk, through_cache)?;
+            self.commit_record(desc, chunk, through_cache)?;
         }
         Ok(())
     }
 
-    /// Journals and checkpoints one transaction at `seq`: descriptor,
-    /// payload blocks, commit marker, then the in-place checkpoint.
-    /// Shared by local transactions ([`journal_txn`](Self::journal_txn))
-    /// and replicated ones
+    /// Journals and checkpoints one transaction: descriptor, payload
+    /// blocks, commit marker, then the in-place checkpoint. Shared by
+    /// local transactions ([`journal_txn`](Self::journal_txn)) and
+    /// replicated ones
     /// ([`ingest_replicated`](Self::ingest_replicated)), so both honour
     /// the same crash points.
+    ///
+    /// `desc` carries the entry table as the caller computed or
+    /// verified it against `chunk`'s payloads; it is journalled as
+    /// given, so no payload is hashed here — each one passes through
+    /// FNV-1a once per node.
     fn commit_record(
         &mut self,
-        seq: u64,
+        desc: JournalDescriptor,
         chunk: &[(u64, [u8; BLOCK_SIZE])],
         through_cache: bool,
     ) -> Result<(), FsError> {
+        let seq = desc.seq;
         let cap = self.sb.journal_capacity().max(1);
         let js = self.sb.journal_start as u64;
-        let desc = JournalDescriptor {
-            seq,
-            entries: chunk.iter().map(|(home, data)| (*home, checksum64(data))).collect(),
-        };
         let desc_block = desc.encode();
         self.journal_write(BlockAddr(js), &desc_block)?;
         for (i, (_home, data)) in chunk.iter().enumerate() {
@@ -585,7 +590,7 @@ impl FileSystem {
         // before any later crash point can interrupt the checkpoint.
         self.retain_committed(JournalRecord {
             seq,
-            entries: desc.entries.clone(),
+            entries: desc.entries,
             payloads: chunk.iter().map(|(_home, data)| *data).collect(),
         });
         self.crash_point(FaultSite::KernelCrashAfterCommit)?;
@@ -656,7 +661,9 @@ impl FileSystem {
     /// same commit pipeline (and crash points) as a local transaction,
     /// already-applied sequences are skipped, and a sequence gap is
     /// refused so the shipper retransmits. Payload checksums are
-    /// re-verified against the record's entry table before any write.
+    /// re-verified against the record's entry table before any write,
+    /// and that verified table is the one journalled — each payload is
+    /// hashed once on this node, not re-summed by the commit pipeline.
     /// In-memory metadata is rebuilt after a successful apply, so the
     /// replica stays mountable-equivalent to its own disk.
     pub fn ingest_replicated(&mut self, rec: &JournalRecord) -> Result<IngestOutcome, FsError> {
@@ -682,7 +689,8 @@ impl FileSystem {
         self.next_seq = rec.seq + 1;
         let chunk: Vec<(u64, [u8; BLOCK_SIZE])> =
             rec.entries.iter().zip(&rec.payloads).map(|((home, _), data)| (*home, *data)).collect();
-        self.commit_record(rec.seq, &chunk, false)?;
+        let desc = JournalDescriptor { seq: rec.seq, entries: rec.entries.clone() };
+        self.commit_record(desc, &chunk, false)?;
         for (home, _) in &chunk {
             self.cache.invalidate(BlockAddr(*home));
         }

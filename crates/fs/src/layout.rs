@@ -133,16 +133,55 @@ impl SuperBlock {
     }
 }
 
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a over `data` — the journal's integrity check. Not
 /// cryptographic; it only needs to catch torn prefixes and stale tail
 /// bytes, and it must be dependency-free and deterministic.
+///
+/// A zero byte leaves the xor step unchanged, so it only multiplies the
+/// state by the prime: a trailing run of `k` zero bytes is folded into
+/// one multiply by `PRIME^k`. The value is exactly the byte-at-a-time
+/// FNV-1a for every input; mostly-empty blocks (descriptors, inode and
+/// bitmap blocks) just cost their meaningful prefix.
 pub fn checksum64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in data {
+    let body = zero_trimmed_len(data);
+    let mut h = FNV_OFFSET;
+    for &byte in &data[..body] {
         h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
-    h
+    h.wrapping_mul(prime_pow(data.len() - body))
+}
+
+/// Length of `data` without its trailing zero bytes, scanned eight
+/// bytes at a time from the end.
+fn zero_trimmed_len(data: &[u8]) -> usize {
+    let mut end = data.len();
+    while end >= 8 && data[end - 8..end] == [0u8; 8] {
+        end -= 8;
+    }
+    while end > 0 && data[end - 1] == 0 {
+        end -= 1;
+    }
+    end
+}
+
+/// `FNV_PRIME^k`, wrapping, by square-and-multiply.
+fn prime_pow(mut k: usize) -> u64 {
+    let (mut base, mut acc) = (FNV_PRIME, 1u64);
+    while k > 0 {
+        if k & 1 == 1 {
+            acc = acc.wrapping_mul(base);
+        }
+        base = base.wrapping_mul(base);
+        k >>= 1;
+    }
+    acc
 }
 
 /// The journal descriptor: names the home location and payload checksum
@@ -469,6 +508,51 @@ mod tests {
         assert_eq!(checksum64(b"vino"), checksum64(b"vino"));
         assert_ne!(checksum64(b"vino"), checksum64(b"vinO"));
         assert_ne!(checksum64(&[0u8; 4096]), 0, "all-zero block must not seal as zero");
+    }
+
+    /// The on-disk checksum as first written: plain byte-at-a-time
+    /// FNV-1a. `checksum64` must equal it on every input, or journals
+    /// written before the zero-tail fold stop validating.
+    fn fnv1a_reference(data: &[u8]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for &byte in data {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn checksum_matches_published_fnv1a_vectors() {
+        assert_eq!(checksum64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(checksum64(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn checksum_equals_the_byte_loop_reference() {
+        let check = |data: &[u8]| assert_eq!(checksum64(data), fnv1a_reference(data), "{data:?}");
+        check(b"");
+        check(&[0u8; BLOCK_SIZE]);
+        let desc = JournalDescriptor { seq: 9, entries: vec![(100, 0xDEAD_BEEF), (7, u64::MAX)] };
+        check(&desc.encode()[..BLOCK_SIZE - 8]);
+        for zeros in 0..=17 {
+            let mut data = vec![0x5Au8];
+            data.resize(1 + zeros, 0);
+            check(&data);
+        }
+        let mut interior = [0u8; 64];
+        interior[0] = 1;
+        interior[40] = 2;
+        check(&interior);
+        let mut rng = vino_sim::SplitMix64::new(0xF1A7);
+        for _ in 0..32 {
+            let mut block = [0u8; BLOCK_SIZE];
+            let live = rng.below(BLOCK_SIZE as u64 + 1) as usize;
+            for b in &mut block[..live] {
+                *b = rng.next_u64() as u8;
+            }
+            check(&block);
+        }
     }
 
     #[test]

@@ -183,11 +183,8 @@ impl Reassembler {
             return None;
         }
         slots[idx] = Some(payload[FRAG_HEADER..].to_vec());
-        if slots.iter().any(|s| s.is_none()) {
-            return None;
-        }
-        let slots = self.parts.remove(&seq).expect("just completed");
-        let body: Vec<u8> = slots.into_iter().flatten().flatten().collect();
+        let body = slots.iter().map(Option::as_deref).collect::<Option<Vec<&[u8]>>>()?.concat();
+        self.parts.remove(&seq);
         unmarshal(seq, &body).map(|rec| (rec, ctx))
     }
 

@@ -39,7 +39,7 @@
 //! [`ReplPrimaryCrash`]: FaultSite::ReplPrimaryCrash
 //! [`ReplReplicaCrash`]: FaultSite::ReplReplicaCrash
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use vino_core::kernel::{Kernel, KernelConfig};
@@ -78,8 +78,8 @@ const WORKLOAD_BLOCKS: u64 = 48;
 /// Harness configuration.
 #[derive(Debug, Clone)]
 pub struct ReplConfig {
-    /// Kernel configuration for both nodes (and the shadow volume the
-    /// prefix check reconstructs against).
+    /// Kernel configuration for both nodes (and the fresh volume the
+    /// prefix check lays its shadow overlay over).
     pub kernel: KernelConfig,
     /// Maximum committed-but-unacked records shipped per round.
     pub window: u64,
@@ -207,10 +207,14 @@ pub struct ReplHarness {
     last_ingest_ctx: CauseCtx,
     primary_dead: bool,
     replica_reboots: u64,
-    /// An ideal replica: every committed record applied in order on a
-    /// private volume (own clock, no faults), so mid-run prefix checks
-    /// have ground truth even after the primary prunes its tail.
-    shadow: FileSystem,
+    /// The prefix oracle: the latest acked contents of every home
+    /// block any committed record rewrote, applied strictly in order on
+    /// each ack (before the primary prunes the records), so mid-run
+    /// prefix checks have ground truth after the tail is gone. It
+    /// copies blocks and runs none of the ingest code it judges.
+    shadow: BTreeMap<u64, Box<[u8; BLOCK_SIZE]>>,
+    /// Highest sequence folded into `shadow`.
+    shadow_seq: u64,
     workload_fd: Option<Fd>,
 }
 
@@ -246,12 +250,6 @@ impl ReplHarness {
         let r_plane = PacketPlane::new(Rc::clone(&replica));
         p_plane.open_port(REPL_PORT, RING_CAP);
         r_plane.open_port(REPL_PORT, RING_CAP);
-        let shadow_clock = VirtualClock::new();
-        let shadow = FileSystem::format(
-            Disk::new(vino_sim::Observer::new(shadow_clock)),
-            cfg.kernel.cache_blocks,
-            cfg.kernel.max_files,
-        );
         ReplHarness {
             cfg,
             clock,
@@ -271,7 +269,8 @@ impl ReplHarness {
             last_ingest_ctx: CauseCtx::NONE,
             primary_dead: false,
             replica_reboots: 0,
-            shadow,
+            shadow: BTreeMap::new(),
+            shadow_seq: 0,
             workload_fd: None,
         }
     }
@@ -474,12 +473,7 @@ impl ReplHarness {
                 self.r_trace.set_ctx(prev);
                 match out {
                     Ok(IngestOutcome::Applied { blocks }) => {
-                        self.applied = self.applied.max(r.seq);
-                        self.last_ingest_ctx = ingest_ctx;
-                        self.replica.observer().emit_with_ctx(
-                            TraceEvent::ReplApply { seq: r.seq, blocks },
-                            ingest_ctx,
-                        );
+                        self.record_applied(r.seq, blocks, ingest_ctx);
                         rep.applied += 1;
                     }
                     Ok(IngestOutcome::Duplicate | IngestOutcome::Gap { .. }) => {}
@@ -586,11 +580,7 @@ impl ReplHarness {
             self.r_trace.set_ctx(prev);
             match out {
                 IngestOutcome::Applied { blocks } => {
-                    self.applied = self.applied.max(rec.seq);
-                    self.last_ingest_ctx = ingest_ctx;
-                    self.replica
-                        .observer()
-                        .emit_with_ctx(TraceEvent::ReplApply { seq: rec.seq, blocks }, ingest_ctx);
+                    self.record_applied(rec.seq, blocks, ingest_ctx)
                 }
                 IngestOutcome::Duplicate => {}
                 IngestOutcome::Gap { expected } => {
@@ -616,15 +606,33 @@ impl ReplHarness {
         promoted
     }
 
+    /// Books one record the replica applied: advances the applied
+    /// cursor, emits `repl.apply` under the ingest span, and prunes the
+    /// replica's own retained tail — it ships nothing, so the record
+    /// it just journalled is dead weight, as the primary's are on ack.
+    fn record_applied(&mut self, seq: u64, blocks: u64, ingest_ctx: CauseCtx) {
+        self.applied = self.applied.max(seq);
+        self.last_ingest_ctx = ingest_ctx;
+        self.replica.observer().emit_with_ctx(TraceEvent::ReplApply { seq, blocks }, ingest_ctx);
+        self.replica.fs.borrow_mut().prune_committed(self.applied);
+    }
+
     /// Mid-run invariant: the replica's disk is byte-identical to the
-    /// primary's committed prefix at the replica's applied sequence,
-    /// reconstructed record-by-record on the harness's shadow volume.
+    /// primary's committed prefix at the replica's applied sequence.
+    /// The expected image is built only here: a freshly formatted
+    /// volume with the shadow overlay written over it.
     pub fn assert_replica_matches_committed_prefix(&mut self) {
         self.sync_shadow(self.applied);
-        assert_committed_states_match(
-            &self.shadow.disk_image(),
-            &self.replica.fs.borrow().disk_image(),
-        );
+        let mut disk = FileSystem::format(
+            Disk::new(vino_sim::Observer::new(VirtualClock::new())),
+            self.cfg.kernel.cache_blocks,
+            self.cfg.kernel.max_files,
+        )
+        .into_disk();
+        for (&home, block) in &self.shadow {
+            disk.write(BlockAddr(home), block);
+        }
+        assert_committed_states_match(&disk.snapshot(), &self.replica.fs.borrow().disk_image());
     }
 
     /// Arms the configured crash point and lands the primary on it
@@ -687,21 +695,16 @@ impl ReplHarness {
         self.replica_reboots += 1;
     }
 
-    /// Applies committed records onto the shadow volume up to `upto`.
+    /// Folds the primary's committed records up to `upto` into the
+    /// shadow overlay, strictly in sequence order.
     fn sync_shadow(&mut self, upto: u64) {
-        let recs: Vec<JournalRecord> = {
-            let fs = self.primary.fs.borrow();
-            fs.committed_records(self.shadow.last_committed_seq() + 1)
-                .take_while(|r| r.seq <= upto)
-                .cloned()
-                .collect()
-        };
-        for rec in recs {
-            let out = self.shadow.ingest_replicated(&rec).expect("the shadow volume never faults");
-            assert!(
-                matches!(out, IngestOutcome::Applied { .. }),
-                "the shadow applies strictly in order"
-            );
+        let fs = self.primary.fs.borrow();
+        for rec in fs.committed_records(self.shadow_seq + 1).take_while(|r| r.seq <= upto) {
+            assert_eq!(rec.seq, self.shadow_seq + 1, "the shadow applies strictly in order");
+            for ((home, _sum), data) in rec.entries.iter().zip(&rec.payloads) {
+                self.shadow.insert(*home, Box::new(*data));
+            }
+            self.shadow_seq = rec.seq;
         }
     }
 
@@ -852,6 +855,31 @@ mod tests {
         assert_eq!(h.lag(), 0, "retransmission must drain the window");
         h.assert_replica_matches_committed_prefix();
         h.failover();
+    }
+
+    #[test]
+    fn replica_prunes_every_applied_record() {
+        let mut h = ReplHarness::new(0xB7, ReplConfig::default());
+        let plane = Rc::clone(h.fault_plane());
+        plane.set_rate(FaultSite::ReplShipDrop, 1, 4);
+        plane.set_rate(FaultSite::ReplShipReorder, 1, 4);
+        let report = h.run(12);
+        assert!(report.applied > 0 && report.dropped > 0, "a lossy run that still applies");
+        assert_eq!(h.replica().fs.borrow().committed_records(1).count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "diverged between primary and replica")]
+    fn prefix_oracle_catches_a_write_outside_replication() {
+        let mut h = ReplHarness::new(0xA1, ReplConfig::default());
+        h.run(4);
+        assert_eq!(h.lag(), 0, "a fault-free wire converges");
+        let replica = Rc::clone(h.replica());
+        let mut fs = replica.fs.borrow_mut();
+        let fd = fs.open(WORKLOAD).expect("replicated workload file");
+        fs.write(fd, 0, &[0xEE; 256]).expect("a local replica write");
+        drop(fs);
+        h.assert_replica_matches_committed_prefix();
     }
 
     #[test]

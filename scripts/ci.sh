@@ -12,6 +12,16 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release
 
+echo "== benchmark (its own workspace: build, then a traced repl-commit smoke run) =="
+cargo build --offline --release --manifest-path benchmark/Cargo.toml
+bench_out=$(cargo run -q --offline --release --manifest-path benchmark/Cargo.toml -- \
+    --workload repl-commit --seed 7 --seconds 2 --trace 1)
+bench_last=$(printf '%s\n' "$bench_out" | tail -n 1)
+case "$bench_last" in
+    *'"correct": true'*) ;;
+    *) echo "benchmark smoke run is not correct: $bench_last" >&2; exit 1 ;;
+esac
+
 echo "== workspace tests =="
 cargo test -q --workspace
 

@@ -9,7 +9,7 @@
 //! acceptance contract, asserted per scenario:
 //!
 //! - the replica's disk stays a byte-identical prefix of the primary's
-//!   committed state (reconstructed on the harness's shadow volume),
+//!   committed state (rebuilt from the harness's shadow overlay),
 //! - after failover the promoted replica's committed state is
 //!   byte-identical to the dead (or surviving) primary's,
 //! - and the whole two-kernel run — trace stream, metrics exposition,
