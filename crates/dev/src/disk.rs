@@ -265,26 +265,29 @@ impl Disk {
     /// Panics if `addr` is beyond the device (file-system bug, not graft
     /// misbehaviour — grafts cannot address the disk directly).
     pub fn read(&mut self, addr: BlockAddr) -> [u8; 4096] {
-        let (data, cost) = self.read_with_cost(addr);
+        let mut data = [0; 4096];
+        let cost = self.read_into(addr, &mut data);
         self.obs.clock().charge(cost);
         data
     }
 
-    /// Reads block `addr` and returns its mechanical cost *without*
-    /// charging the clock. Used by the asynchronous prefetch path, where
-    /// the I/O overlaps computation: the file system accounts the cost
-    /// on a separate disk-busy timeline instead of the caller's.
-    pub fn read_with_cost(&mut self, addr: BlockAddr) -> ([u8; 4096], Cycles) {
+    /// Reads block `addr` straight into `frame` and returns its
+    /// mechanical cost *without* charging the clock. The buffer cache
+    /// fills its frames this way: a synchronous miss charges the cost
+    /// itself, and the asynchronous prefetch path accounts it on a
+    /// separate disk-busy timeline that overlaps the caller's
+    /// computation.
+    pub fn read_into(&mut self, addr: BlockAddr, frame: &mut [u8; 4096]) -> Cycles {
         let mut cost = self.access_cost(addr);
         cost += self.fault_overhead(FaultSite::DiskRead, cost);
         self.stats.reads += 1;
         self.metric(Counter::DiskReads);
         self.stats.busy += cost;
-        let data = match &self.blocks[addr.0 as usize] {
-            Some(b) => **b,
-            None => [0; 4096],
-        };
-        (data, cost)
+        match &self.blocks[addr.0 as usize] {
+            Some(b) => *frame = **b,
+            None => frame.fill(0),
+        }
+        cost
     }
 
     /// Writes block `addr`, charging mechanical latency. If an armed
@@ -304,7 +307,12 @@ impl Disk {
         };
         match torn {
             Some(prefix) => self.persist_prefix(addr, data, prefix),
-            None => self.blocks[addr.0 as usize] = Some(Box::new(*data)),
+            None => match &mut self.blocks[addr.0 as usize] {
+                // Overwrite a materialised block through its box; only
+                // a never-written block allocates.
+                Some(b) => **b = *data,
+                slot => *slot = Some(Box::new(*data)),
+            },
         }
     }
 
@@ -323,14 +331,10 @@ impl Disk {
 
     fn persist_prefix(&mut self, addr: BlockAddr, data: &[u8; 4096], prefix: usize) {
         let prefix = prefix.min(4096);
-        let mut block = match &self.blocks[addr.0 as usize] {
-            Some(b) => **b,
-            None => [0; 4096],
-        };
+        let block = self.blocks[addr.0 as usize].get_or_insert_with(|| Box::new([0; 4096]));
         block[..prefix].copy_from_slice(&data[..prefix]);
         self.stats.torn_writes += 1;
         self.metric(Counter::DiskTornWrites);
-        self.blocks[addr.0 as usize] = Some(Box::new(block));
     }
 
     /// The latency the next access to `addr` would incur, without
@@ -529,6 +533,24 @@ mod tests {
         let image = d.snapshot();
         let mut d2 = Disk::from_image(Observer::new(vino_sim::VirtualClock::new()), image).unwrap();
         assert_eq!(d2.read(BlockAddr(7)), [0xAB; 4096]);
+    }
+
+    #[test]
+    fn overwrite_in_place_leaves_snapshots_independent() {
+        let mut d = disk();
+        d.write(BlockAddr(7), &[0xAB; 4096]);
+        let before = d.snapshot();
+        d.write(BlockAddr(7), &[0xCD; 4096]);
+        d.write_torn(BlockAddr(7), &[0xEF; 4096], 16);
+        let after = d.snapshot();
+        assert_eq!(before.block(BlockAddr(7)), [0xAB; 4096], "snapshot is a copy");
+        let mut want = [0xCD; 4096];
+        want[..16].fill(0xEF);
+        assert_eq!(after.block(BlockAddr(7)), want);
+        assert_eq!(d.read(BlockAddr(7)), want);
+        let mut frame = [0xFF; 4096];
+        d.read_into(BlockAddr(8), &mut frame);
+        assert_eq!(frame, [0; 4096], "unwritten block zero-fills the frame");
     }
 
     #[test]

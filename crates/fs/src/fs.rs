@@ -134,7 +134,7 @@ struct OpenFile {
     /// End offset of the previous read, for sequential detection.
     last_end: Option<u64>,
     /// The per-file prefetch queue (§4.1.2), in logical block numbers.
-    prefetch_q: VecDeque<u32>,
+    prefetch_q: PrefetchQueue,
     ra: Option<Box<dyn ReadAheadDelegate>>,
 }
 
@@ -194,6 +194,79 @@ pub enum IngestOutcome {
 /// order, as pages become available" (§4.1.2). The queue holds the
 /// not-yet-issued tail.
 pub const MAX_PREFETCH_QUEUE: usize = 4096;
+
+/// A per-file prefetch queue: logical block numbers in request order,
+/// each at most once, with an O(1) membership check.
+#[derive(Debug, Default)]
+struct PrefetchQueue {
+    order: VecDeque<u32>,
+    /// Bit `lbn` is set while `lbn` is queued. Grows to the highest
+    /// block ever queued, which validation keeps inside the file.
+    queued: Vec<u64>,
+}
+
+impl PrefetchQueue {
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    fn clear(&mut self) {
+        self.order.clear();
+        self.queued.fill(0);
+    }
+
+    fn pop_front(&mut self) -> Option<u32> {
+        let lbn = self.order.pop_front()?;
+        self.queued[lbn as usize / 64] &= !(1 << (lbn % 64));
+        Some(lbn)
+    }
+
+    /// Puts back a block just taken by [`Self::pop_front`].
+    fn push_front(&mut self, lbn: u32) {
+        self.mark(lbn);
+        self.order.push_front(lbn);
+    }
+
+    /// Marks `lbn` queued; false if it already was.
+    fn mark(&mut self, lbn: u32) -> bool {
+        let word = lbn as usize / 64;
+        if word >= self.queued.len() {
+            self.queued.resize(word + 1, 0);
+        }
+        let bit = 1 << (lbn % 64);
+        let fresh = self.queued[word] & bit == 0;
+        self.queued[word] |= bit;
+        fresh
+    }
+
+    /// Validates `extents` against a file of `size` bytes and queues
+    /// the blocks of each accepted one in order, skipping blocks
+    /// already queued. Expansion stops at [`MAX_PREFETCH_QUEUE`], so a
+    /// hostile policy asking for a whole file costs no more than the
+    /// queue can hold; validation still counts every extent.
+    fn enqueue(&mut self, extents: &[Extent], size: u64, stats: &mut FsStats) {
+        for e in extents {
+            // Validation: results from (possibly grafted) policies are
+            // checked before use — zero-length and past-EOF extents are
+            // rejected, matching the victim-verification discipline.
+            if e.len == 0 || e.offset >= size || e.len > size - e.offset {
+                stats.ra_rejected += 1;
+                continue;
+            }
+            stats.ra_accepted += 1;
+            let first = (e.offset / BLOCK_SIZE as u64) as u32;
+            let last = ((e.offset + e.len - 1) / BLOCK_SIZE as u64) as u32;
+            for lbn in first..=last {
+                if self.order.len() >= MAX_PREFETCH_QUEUE {
+                    break; // Bounded queue (§4.1.2).
+                }
+                if self.mark(lbn) {
+                    self.order.push_back(lbn);
+                }
+            }
+        }
+    }
+}
 
 /// The mounted file system.
 pub struct FileSystem {
@@ -839,7 +912,12 @@ impl FileSystem {
         self.next_fd += 1;
         self.open.insert(
             fd,
-            OpenFile { inode_idx: idx, last_end: None, prefetch_q: VecDeque::new(), ra: None },
+            OpenFile {
+                inode_idx: idx,
+                last_end: None,
+                prefetch_q: PrefetchQueue::default(),
+                ra: None,
+            },
         );
         Ok(fd)
     }
@@ -959,7 +1037,7 @@ impl FileSystem {
             let mut block = if in_block == 0 && chunk == BLOCK_SIZE {
                 [0u8; BLOCK_SIZE]
             } else {
-                self.cache.read(&mut self.disk, addr)
+                *self.cache.read(&mut self.disk, addr)
             };
             block[in_block..in_block + chunk].copy_from_slice(&data[pos..pos + chunk]);
             targets.push((abs as u64, block));
@@ -972,31 +1050,8 @@ impl FileSystem {
     fn enqueue_prefetch(&mut self, fd: Fd, extents: &[Extent]) -> Result<(), FsError> {
         let inode_idx = self.open.get(&fd).ok_or(FsError::BadFd(fd))?.inode_idx;
         let size = self.inodes[inode_idx].size;
-        let mut blocks = Vec::new();
-        for e in extents {
-            // Validation: results from (possibly grafted) policies are
-            // checked before use — zero-length and past-EOF extents are
-            // rejected, matching the victim-verification discipline.
-            if e.len == 0 || e.offset >= size || e.offset + e.len > size {
-                self.stats.ra_rejected += 1;
-                continue;
-            }
-            self.stats.ra_accepted += 1;
-            let first = (e.offset / BLOCK_SIZE as u64) as u32;
-            let last = ((e.offset + e.len - 1) / BLOCK_SIZE as u64) as u32;
-            for lbn in first..=last {
-                blocks.push(lbn);
-            }
-        }
         let f = self.open.get_mut(&fd).expect("checked");
-        for b in blocks {
-            if f.prefetch_q.len() >= MAX_PREFETCH_QUEUE {
-                break; // Bounded queue (§4.1.2).
-            }
-            if !f.prefetch_q.contains(&b) {
-                f.prefetch_q.push_back(b);
-            }
-        }
+        f.prefetch_q.enqueue(extents, size, &mut self.stats);
         Ok(())
     }
 
@@ -1225,6 +1280,91 @@ mod tests {
         assert_eq!(fs.stats().ra_rejected, 3);
         assert_eq!(fs.stats().ra_accepted, 0);
         assert_eq!(fs.stats().prefetches_issued, 0);
+    }
+
+    /// The expansion `enqueue_prefetch` used before the queue kept a
+    /// membership set: flatten every accepted extent into one list,
+    /// then push each block not already queued (a linear scan) until
+    /// the queue is full.
+    fn enqueue_reference(q: &mut VecDeque<u32>, extents: &[Extent], size: u64, st: &mut FsStats) {
+        let mut blocks = Vec::new();
+        for e in extents {
+            if e.len == 0 || e.offset >= size || e.offset + e.len > size {
+                st.ra_rejected += 1;
+                continue;
+            }
+            st.ra_accepted += 1;
+            let first = (e.offset / BLOCK_SIZE as u64) as u32;
+            let last = ((e.offset + e.len - 1) / BLOCK_SIZE as u64) as u32;
+            blocks.extend(first..=last);
+        }
+        for b in blocks {
+            if q.len() >= MAX_PREFETCH_QUEUE {
+                break;
+            }
+            if !q.contains(&b) {
+                q.push_back(b);
+            }
+        }
+    }
+
+    #[test]
+    fn prefetch_queue_matches_flatten_then_scan_reference() {
+        let bs = BLOCK_SIZE as u64;
+        let mut filled = 0;
+        for seed in 0..24u64 {
+            let mut rng = vino_sim::SplitMix64::new(seed);
+            // Small files never fill the queue; large ones can.
+            let blocks = if seed % 3 == 0 { rng.range(4200, 6000) } else { rng.range(1, 64) };
+            let size = blocks * bs - rng.below(bs);
+            let mut q = PrefetchQueue::default();
+            let mut r = VecDeque::new();
+            let (mut st, mut rst) = (FsStats::default(), FsStats::default());
+            for round in 0..12 {
+                let mut extents: Vec<Extent> = Vec::new();
+                for _ in 0..rng.below(6) {
+                    let e = match rng.below(8) {
+                        // Repeat or overlap an extent from this batch.
+                        0 | 1 if !extents.is_empty() => {
+                            let p = extents[rng.below(extents.len() as u64) as usize];
+                            Extent { offset: p.offset / 2, len: p.len.saturating_add(bs) }
+                        }
+                        2 => Extent { offset: 0, len: size }, // The whole file.
+                        3 => Extent { offset: size + rng.below(bs), len: bs }, // Past EOF.
+                        4 => Extent { offset: rng.below(size), len: 0 },
+                        _ => {
+                            let offset = rng.below(size);
+                            Extent { offset, len: 1 + rng.below((size - offset).min(64 * bs)) }
+                        }
+                    };
+                    extents.push(e);
+                    if rng.chance(1, 4) {
+                        extents.push(e); // Exact duplicate.
+                    }
+                }
+                q.enqueue(&extents, size, &mut st);
+                enqueue_reference(&mut r, &extents, size, &mut rst);
+                let ctx = format!("seed {seed} round {round}");
+                assert!(q.order == r, "{ctx}");
+                assert_eq!(st, rst, "{ctx}");
+                let marked: u32 = q.queued.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(marked as usize, q.len(), "{ctx}");
+                filled += (q.len() == MAX_PREFETCH_QUEUE) as u32;
+                // Drain some as the pump does, sometimes putting the
+                // last block back (the quota-full path).
+                for _ in 0..rng.below(400) {
+                    assert_eq!(q.pop_front(), r.pop_front(), "{ctx}");
+                }
+                if rng.chance(1, 2) {
+                    if let Some(b) = q.pop_front() {
+                        assert_eq!(r.pop_front(), Some(b), "{ctx}");
+                        q.push_front(b);
+                        r.push_front(b);
+                    }
+                }
+            }
+        }
+        assert!(filled > 0, "the queue bound was never reached");
     }
 
     #[test]

@@ -12,15 +12,17 @@ cargo fmt --check
 echo "== build (release) =="
 cargo build --release
 
-echo "== benchmark (its own workspace: build, then a traced repl-commit smoke run) =="
+echo "== benchmark (its own workspace: build, then traced repl-commit and fs-read smoke runs) =="
 cargo build --offline --release --manifest-path benchmark/Cargo.toml
-bench_out=$(cargo run -q --offline --release --manifest-path benchmark/Cargo.toml -- \
-    --workload repl-commit --seed 7 --seconds 2 --trace 1)
-bench_last=$(printf '%s\n' "$bench_out" | tail -n 1)
-case "$bench_last" in
-    *'"correct": true'*) ;;
-    *) echo "benchmark smoke run is not correct: $bench_last" >&2; exit 1 ;;
-esac
+for workload in repl-commit fs-read; do
+    bench_out=$(cargo run -q --offline --release --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 7 --seconds 2 --trace 1)
+    bench_last=$(printf '%s\n' "$bench_out" | tail -n 1)
+    case "$bench_last" in
+        *'"correct": true'*) ;;
+        *) echo "$workload smoke run is not correct: $bench_last" >&2; exit 1 ;;
+    esac
+done
 
 echo "== workspace tests =="
 cargo test -q --workspace
