@@ -30,7 +30,7 @@ use vino_rm::{AccountantState, Limits, PrincipalId, ResourceKind};
 use vino_sim::fault::{FaultPlane, FaultPlaneState, FaultSite};
 use vino_sim::metrics::{MetricsPlane, MetricsState};
 use vino_sim::trace::{TracePlane, TraceState};
-use vino_sim::watch::{WatchPlane, WatchState};
+use vino_sim::watch::{default_rules, SloRule, WatchPlane, WatchState};
 use vino_sim::{render_timeline, Cycles, SplitMix64, ThreadId, TimelineOpts};
 use vino_txn::locks::LockClass;
 use vino_txn::TxnStats;
@@ -277,6 +277,12 @@ impl DebugWorld {
     /// Boots a fresh storm world: kernel, planes (attached first, so
     /// scaffolding I/O is observed), app, thread, lock, zoo, probe file.
     pub fn boot(seed: u64, cfg: &KernelConfig) -> DebugWorld {
+        DebugWorld::boot_with_rules(seed, cfg, default_rules())
+    }
+
+    /// [`boot`](Self::boot) with a watch plane evaluating `rules`
+    /// instead of the default table.
+    pub fn boot_with_rules(seed: u64, cfg: &KernelConfig, rules: Vec<SloRule>) -> DebugWorld {
         let k = Kernel::boot_with(cfg.clone());
         let plane = FaultPlane::seeded(seed);
         k.attach_fault_plane(Rc::clone(&plane)).unwrap();
@@ -285,7 +291,7 @@ impl DebugWorld {
         let mp = MetricsPlane::new(Rc::clone(&k.clock));
         k.attach_metrics_plane(Rc::clone(&mp)).unwrap();
         // After the trace plane, so alert edges mirror onto the timeline.
-        let wp = WatchPlane::new(Rc::clone(&k.clock));
+        let wp = WatchPlane::with_rules(Rc::clone(&k.clock), rules);
         k.attach_watch_plane(Rc::clone(&wp)).unwrap();
         let (app, thread, fd, zoo) = DebugWorld::scaffold(&k, true);
         DebugWorld {
