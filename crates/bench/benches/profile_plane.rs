@@ -75,11 +75,11 @@ fn bench(c: &mut Criterion) {
     let omp = MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8);
     obs.attach_metrics(Rc::clone(&omp)).unwrap();
     obs.attach_profile(ProfilePlane::with_capacity(&omp, 8, 1 << 10)).unwrap();
-    let grafts = [obs.install("ra", 512), obs.install("evict", 512)];
+    let grafts = [obs.install("ra", 512, 0), obs.install("evict", 512, 0)];
     for g in &grafts {
         obs.begin_invocation(g);
         obs.retire(g, 0, Component::GraftFn, Cycles(1));
-        obs.end_invocation(g, true);
+        obs.end_invocation(g, true, Cycles::ZERO);
     }
     let before = ALLOC.allocations();
     for i in 0..100_000u64 {
@@ -93,7 +93,7 @@ fn bench(c: &mut Criterion) {
         obs.emit_as(g, TraceEvent::VmWindow { instrs: 1, exit: VmExitKind::Halt });
         obs.charge(Component::TxnCommit, Cycles(3600));
         obs.emit(TraceEvent::TxnCommit { thread: 1, txn: i, nested: false, locks: 0 });
-        obs.end_invocation(g, i % 5 != 0);
+        obs.end_invocation(g, i % 5 != 0, Cycles::ZERO);
     }
     let delta = ALLOC.allocations() - before;
     assert_eq!(delta, 0, "observer funnel hit the heap {delta} times in 100k invocations");

@@ -89,16 +89,16 @@ impl GraftEngine {
     /// Creates an engine with fresh subsystems reporting to `obs`.
     ///
     /// A graft instance binds the planes attached when it is created
-    /// (see [`GraftInstance::new`]); the wrapper feeds the watch plane
-    /// every install, invocation cost, abort and quarantine trip, keyed
-    /// by the installer who vouched for the graft.
+    /// (see [`GraftInstance::new`]); the wrapper reports every install,
+    /// invocation cost, abort and quarantine trip through the observer,
+    /// blamed on the installer who vouched for the graft.
     pub fn new(obs: Rc<Observer>) -> Rc<GraftEngine> {
         let txn = Rc::new(RefCell::new(TxnManager::new(Rc::clone(&obs))));
         Rc::new(GraftEngine {
             clock: Rc::clone(obs.clock()),
             txn,
             rm: Rc::new(RefCell::new(ResourceAccountant::new(Rc::clone(&obs)))),
-            reliability: Rc::new(RefCell::new(ReliabilityManager::new(Rc::clone(&obs)))),
+            reliability: Rc::new(RefCell::new(ReliabilityManager::default())),
             kv: Rc::new(RefCell::new([0; KV_SLOTS])),
             callable: Rc::new(hostfn::build_callable_table()),
             lock_handles: Rc::new(RefCell::new(Vec::new())),
@@ -417,22 +417,17 @@ pub struct GraftInstance {
     thread: ThreadId,
     /// The graft's resource principal (zero limits at install; §3.2).
     pub principal: PrincipalId,
-    /// The principal the watch plane blames for this graft's behaviour:
-    /// the installer who vouched for it (the accountant's
-    /// `blame_target`), resolved once at install. Admission control
-    /// gates installs by installer, so watch blame must land there too.
-    blame: PrincipalId,
     dead: bool,
     /// Timeslices a single invocation may consume before the kernel
     /// declares it a CPU hog and aborts (§2.5's forward-progress
     /// detector for grafts in the kernel's path).
     pub max_slices: u32,
     stats: InvokeStats,
-    /// The graft's tags in the planes attached at install.
+    /// The graft's tags in the planes attached at install; the blamed
+    /// principal is the accountant's `blame_target`, resolved once here.
     tags: GraftTags,
-    /// Clock reading at the start of the current invocation, so the
-    /// watch plane can be fed the invocation's cycle cost on both the
-    /// commit and the abort exits.
+    /// Clock reading at the start of the current invocation, so both
+    /// exits can report the invocation's cycle cost.
     invoke_started: Cycles,
     /// The trace plane's causal context before the current invocation
     /// span was installed, restored on both the commit and abort exits.
@@ -453,15 +448,9 @@ impl GraftInstance {
         thread: ThreadId,
         principal: PrincipalId,
     ) -> GraftInstance {
-        let tags = engine.obs.install(&program.name, program.instrs.len());
-        let vm = Vm::observed(mem, Rc::clone(&engine.obs), tags);
-        // Watch plane: count the install and pre-create the blamed
-        // principal's window slot now, while allocation is permitted.
         let blame = engine.rm.borrow().blame_target(principal);
-        if let Some(wp) = engine.obs.watch() {
-            wp.touch_principal(blame.0);
-            wp.observe_install(blame.0);
-        }
+        let tags = engine.obs.install(&program.name, program.instrs.len(), blame.0);
+        let vm = Vm::observed(mem, Rc::clone(&engine.obs), tags);
         GraftInstance {
             name: program.name.clone(),
             engine,
@@ -469,7 +458,6 @@ impl GraftInstance {
             vm,
             thread,
             principal,
-            blame,
             dead: false,
             max_slices: 16,
             stats: InvokeStats::default(),
@@ -555,21 +543,14 @@ impl GraftInstance {
             reliability::FailureKind::OtherTrap,
             self.engine.clock.now(),
         );
-        if let reliability::Verdict::Quarantined { .. } = verdict {
-            if let Some(wp) = self.engine.obs.watch() {
-                wp.observe_quarantine(self.blame.0);
-            }
+        if let reliability::Verdict::Quarantined { until } = verdict {
+            self.engine.obs.quarantine(&self.tags, &self.name, until);
         }
     }
 
-    /// Feeds the finished invocation's cycle cost into the watch
-    /// plane's p99 window (both exits call this: commit directly,
-    /// abort via [`fail`](Self::fail)).
-    fn observe_watch_invoke(&self) {
-        if let Some(wp) = self.engine.obs.watch() {
-            let cost = self.engine.clock.now() - self.invoke_started;
-            wp.observe_invoke(self.blame.0, cost);
-        }
+    /// The current invocation's cycle cost so far.
+    fn invoke_cost(&self) -> Cycles {
+        self.engine.clock.now() - self.invoke_started
     }
 
     /// Invokes the graft through the full wrapper: transaction begin,
@@ -585,46 +566,61 @@ impl GraftInstance {
             self.engine.obs.fallback(&self.tags);
             return InvokeOutcome::Dead;
         }
+        let txn_id = self.open_invocation();
+        self.vm.reset();
+        self.vm.regs[1..5].copy_from_slice(&args);
+        let mut host = KernelHost::new(Rc::clone(&self.engine), self.thread, self.principal);
+        let result = match self.run_to_halt(&mut host, txn_id) {
+            Ok(result) => result,
+            Err(aborted) => return aborted,
+        };
+        match mode {
+            CommitMode::Commit => match self.commit_wrapper(txn_id) {
+                Ok(()) => InvokeOutcome::Ok { result, extents: host.extents, log: host.log },
+                Err(aborted) => aborted,
+            },
+            CommitMode::AbortAtEnd => {
+                let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
+                self.fail(AbortedWhy::Requested, report)
+            }
+        }
+    }
+
+    /// Opens an invocation: its causal span, the observer's bracket and
+    /// the wrapper transaction.
+    fn open_invocation(&mut self) -> TxnId {
         self.stats.invocations += 1;
         self.invoke_started = self.engine.clock.now();
         self.begin_invoke_span();
         self.engine.obs.begin_invocation(&self.tags);
+        self.engine.txn.borrow_mut().begin(self.thread)
+    }
+
+    /// Commits the wrapper transaction and closes the invocation. If a
+    /// fired lock time-out stole the transaction mid-run, its work is
+    /// already undone and the invocation is an abort (`Err`, the
+    /// outcome [`fail`](Self::fail) returned).
+    fn commit_wrapper(&mut self, txn_id: TxnId) -> Result<(), InvokeOutcome> {
+        if self.engine.txn.borrow_mut().commit(self.thread).is_err() {
+            let report = self.stolen_report(txn_id);
+            return Err(self.fail(AbortedWhy::LockTimeout, report));
+        }
+        self.stats.commits += 1;
+        self.engine.obs.end_invocation(&self.tags, true, self.invoke_cost());
+        self.end_invoke_span();
+        Ok(())
+    }
+
+    /// Runs the loaded program slice by slice until it halts
+    /// (`Ok(result)`), or until the wrapper aborts it (`Err`, the
+    /// outcome [`fail`](Self::fail) returned).
+    fn run_to_halt(&mut self, host: &mut KernelHost, txn_id: TxnId) -> Result<u64, InvokeOutcome> {
         let engine = Rc::clone(&self.engine);
-        let txn_id = engine.txn.borrow_mut().begin(self.thread);
-        self.vm.reset();
-        self.vm.regs[1] = args[0];
-        self.vm.regs[2] = args[1];
-        self.vm.regs[3] = args[2];
-        self.vm.regs[4] = args[3];
-        let mut host = KernelHost::new(Rc::clone(&engine), self.thread, self.principal);
         let mut slices = 0u32;
         loop {
             let mut fuel = vino_sched::Scheduler::timeslice_fuel();
-            match self.vm.run(&self.program, &mut host, &engine.clock, &mut fuel) {
-                Exit::Halted(result) => {
-                    return match mode {
-                        CommitMode::Commit => {
-                            let committed = engine.txn.borrow_mut().commit(self.thread).is_ok();
-                            if committed {
-                                self.stats.commits += 1;
-                                self.engine.obs.end_invocation(&self.tags, true);
-                                self.observe_watch_invoke();
-                                self.end_invoke_span();
-                                InvokeOutcome::Ok { result, extents: host.extents, log: host.log }
-                            } else {
-                                // A fired lock time-out stole the wrapper
-                                // transaction mid-run; the work is already
-                                // undone, so the invocation is an abort.
-                                let report = self.stolen_report(txn_id);
-                                self.fail(AbortedWhy::LockTimeout, report)
-                            }
-                        }
-                        CommitMode::AbortAtEnd => {
-                            let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
-                            self.fail(AbortedWhy::Requested, report)
-                        }
-                    };
-                }
+            match self.vm.run(&self.program, host, &engine.clock, &mut fuel) {
+                Exit::Halted(result) => return Ok(result),
                 Exit::Preempted => {
                     self.stats.preemptions += 1;
                     slices += 1;
@@ -638,11 +634,11 @@ impl GraftInstance {
                     if let Some(report) =
                         engine.txn.borrow_mut().take_forced_abort(self.thread, txn_id)
                     {
-                        return self.fail(AbortedWhy::LockTimeout, report);
+                        return Err(self.fail(AbortedWhy::LockTimeout, report));
                     }
                     if slices >= self.max_slices {
                         let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
-                        return self.fail(AbortedWhy::CpuHog, report);
+                        return Err(self.fail(AbortedWhy::CpuHog, report));
                     }
                 }
                 Exit::Trapped(trap) => {
@@ -656,7 +652,7 @@ impl GraftInstance {
                         _ => AbortReason::Explicit,
                     };
                     let report = self.abort_wrapper(txn_id, reason);
-                    return self.fail(AbortedWhy::Trap(trap), report);
+                    return Err(self.fail(AbortedWhy::Trap(trap), report));
                 }
             }
         }
@@ -685,75 +681,22 @@ impl GraftInstance {
         if count == 0 {
             return BatchOutcome::Ok { results: Vec::new() };
         }
-        self.stats.invocations += 1;
-        self.invoke_started = self.engine.clock.now();
-        self.begin_invoke_span();
-        self.engine.obs.begin_invocation(&self.tags);
-        let engine = Rc::clone(&self.engine);
-        let txn_id = engine.txn.borrow_mut().begin(self.thread);
-        let mut host = KernelHost::new(Rc::clone(&engine), self.thread, self.principal);
+        let txn_id = self.open_invocation();
+        let mut host = KernelHost::new(Rc::clone(&self.engine), self.thread, self.principal);
         let mut results = Vec::with_capacity(count);
         for i in 0..count {
             self.vm.reset();
             let args = marshal(i, &mut self.vm.mem);
-            self.vm.regs[1] = args[0];
-            self.vm.regs[2] = args[1];
-            self.vm.regs[3] = args[2];
-            self.vm.regs[4] = args[3];
-            let mut slices = 0u32;
-            loop {
-                let mut fuel = vino_sched::Scheduler::timeslice_fuel();
-                match self.vm.run(&self.program, &mut host, &engine.clock, &mut fuel) {
-                    Exit::Halted(result) => {
-                        results.push(result);
-                        break;
-                    }
-                    Exit::Preempted => {
-                        self.stats.preemptions += 1;
-                        slices += 1;
-                        engine.clock.charge(costs::CONTEXT_SWITCH);
-                        engine.clock.charge(costs::CONTEXT_SWITCH);
-                        engine.txn.borrow_mut().fire_due_timeouts();
-                        if let Some(report) =
-                            engine.txn.borrow_mut().take_forced_abort(self.thread, txn_id)
-                        {
-                            let out = self.fail(AbortedWhy::LockTimeout, report);
-                            return batch_aborted(i, out);
-                        }
-                        if slices >= self.max_slices {
-                            let report = self.abort_wrapper(txn_id, AbortReason::Explicit);
-                            let out = self.fail(AbortedWhy::CpuHog, report);
-                            return batch_aborted(i, out);
-                        }
-                    }
-                    Exit::Trapped(trap) => {
-                        let reason = match trap {
-                            Trap::HostError { code: errcode::NOMEM } => AbortReason::ResourceLimit,
-                            Trap::HostError { code: errcode::LOCK_TIMEOUT } => {
-                                AbortReason::LockTimeout(LockId(u64::MAX))
-                            }
-                            _ => AbortReason::Explicit,
-                        };
-                        let report = self.abort_wrapper(txn_id, reason);
-                        let out = self.fail(AbortedWhy::Trap(trap), report);
-                        return batch_aborted(i, out);
-                    }
-                }
+            self.vm.regs[1..5].copy_from_slice(&args);
+            match self.run_to_halt(&mut host, txn_id) {
+                Ok(result) => results.push(result),
+                Err(aborted) => return batch_aborted(i, aborted),
             }
         }
-        let committed = engine.txn.borrow_mut().commit(self.thread).is_ok();
-        if committed {
-            self.stats.commits += 1;
-            self.engine.obs.end_invocation(&self.tags, true);
-            self.observe_watch_invoke();
-            self.end_invoke_span();
-            BatchOutcome::Ok { results }
-        } else {
-            // A fired lock time-out stole the wrapper transaction
-            // between the last run and the commit.
-            let report = self.stolen_report(txn_id);
-            let out = self.fail(AbortedWhy::LockTimeout, report);
-            batch_aborted(count - 1, out)
+        match self.commit_wrapper(txn_id) {
+            Ok(()) => BatchOutcome::Ok { results },
+            // Stolen between the last run and the commit.
+            Err(aborted) => batch_aborted(count - 1, aborted),
         }
     }
 
@@ -795,14 +738,16 @@ impl GraftInstance {
     fn fail(&mut self, why: AbortedWhy, report: AbortReport) -> InvokeOutcome {
         self.stats.aborts += 1;
         self.dead = true;
-        self.engine.obs.end_invocation(&self.tags, false);
+        let obs = &self.engine.obs;
+        let cost = self.invoke_cost();
+        obs.end_invocation(&self.tags, false, cost);
         let kind = reliability::classify(&why);
         self.engine.rm.borrow_mut().charge_blame(self.principal, report.cost.get());
-        if let Some(tp) = self.engine.obs.trace() {
-            let abort_kind = abort_kind_of(&why);
-            if let Some(graft) = self.tags.trace {
-                tp.emit(TraceEvent::GraftAbort { graft, kind: abort_kind });
-            }
+        let abort_kind = abort_kind_of(&why);
+        if let Some(graft) = self.tags.trace {
+            obs.emit_as(&self.tags, TraceEvent::GraftAbort { graft, kind: abort_kind });
+        }
+        if let Some(tp) = obs.trace() {
             // The flight recorder: snapshot the trace tail and the
             // abort's vital signs (abort path, allocation allowed).
             tp.record_post_mortem(
@@ -818,13 +763,11 @@ impl GraftInstance {
             kind,
             self.engine.clock.now(),
         );
-        self.observe_watch_invoke();
-        if let Some(wp) = self.engine.obs.watch() {
-            wp.observe_abort(self.blame.0);
-            if let reliability::Verdict::Quarantined { .. } = verdict {
-                wp.observe_quarantine(self.blame.0);
-            }
-        }
+        let quarantined = match verdict {
+            reliability::Verdict::Quarantined { until } => Some((self.name.as_str(), until)),
+            reliability::Verdict::Noted => None,
+        };
+        obs.abort_exit(&self.tags, cost, quarantined);
         self.end_invoke_span();
         InvokeOutcome::Aborted { why, report }
     }

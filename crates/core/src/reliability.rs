@@ -19,9 +19,7 @@
 //! a graft (Rule 9: the kernel keeps serving regardless).
 
 use std::collections::HashMap;
-use std::rc::Rc;
 
-use vino_sim::obs::Observer;
 use vino_sim::Cycles;
 use vino_vm::interp::Trap;
 
@@ -135,30 +133,20 @@ pub enum Verdict {
 }
 
 /// The kernel-side reliability manager. One per [`crate::GraftEngine`].
+/// The default has the default policy and no ledgers.
+///
+/// The manager only keeps books: the engine reports each quarantine
+/// trip [`record_abort`](Self::record_abort) returns through the
+/// kernel's observer (`graft.quarantine`, the quarantine counter, the
+/// graft's health state and the watch plane's churn window; see
+/// `docs/TRACING.md`, `docs/METRICS.md`).
+#[derive(Debug, Clone, Default)]
 pub struct ReliabilityManager {
     policy: QuarantinePolicy,
     ledgers: HashMap<String, GraftLedger>,
-    obs: Rc<Observer>,
-}
-
-impl std::fmt::Debug for ReliabilityManager {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReliabilityManager")
-            .field("policy", &self.policy)
-            .field("ledgers", &self.ledgers)
-            .finish_non_exhaustive()
-    }
 }
 
 impl ReliabilityManager {
-    /// A manager with the default policy, reporting to `obs`:
-    /// quarantine trips emit `graft.quarantine`, bump the quarantine
-    /// counter and stamp the graft's health state with the release
-    /// deadline (see `docs/TRACING.md`, `docs/METRICS.md`).
-    pub fn new(obs: Rc<Observer>) -> ReliabilityManager {
-        ReliabilityManager { policy: QuarantinePolicy::default(), ledgers: HashMap::new(), obs }
-    }
-
     /// The active policy.
     pub fn policy(&self) -> QuarantinePolicy {
         self.policy
@@ -197,7 +185,6 @@ impl ReliabilityManager {
         ledger.recent.clear();
         let until = now + backoff;
         ledger.quarantined_until = Some(until);
-        self.obs.quarantine(graft, until);
         Verdict::Quarantined { until }
     }
 
@@ -224,26 +211,20 @@ impl ReliabilityManager {
 
     /// Snapshots the policy and every failure ledger for a checkpoint.
     pub fn export_state(&self) -> ReliabilityState {
-        ReliabilityState { policy: self.policy, ledgers: self.ledgers.clone() }
+        self.clone()
     }
 
     /// Replants a [`ReliabilityState`] capture, so a restored kernel
-    /// enforces the same quarantines and backoff deadlines. Attached
-    /// planes are untouched.
+    /// enforces the same quarantines and backoff deadlines.
     pub fn restore_state(&mut self, st: &ReliabilityState) {
-        self.policy = st.policy;
-        self.ledgers = st.ledgers.clone();
+        *self = st.clone();
     }
 }
 
-/// An opaque snapshot of the reliability manager's mutable state: the
-/// quarantine policy and every graft's failure ledger. See
-/// [`ReliabilityManager::export_state`].
-#[derive(Debug, Clone)]
-pub struct ReliabilityState {
-    policy: QuarantinePolicy,
-    ledgers: HashMap<String, GraftLedger>,
-}
+/// A snapshot of the reliability manager's state (the quarantine policy
+/// and every graft's failure ledger): the manager holds nothing else.
+/// See [`ReliabilityManager::export_state`].
+pub type ReliabilityState = ReliabilityManager;
 
 #[cfg(test)]
 mod tests {
@@ -261,7 +242,7 @@ mod tests {
     }
 
     fn mgr() -> ReliabilityManager {
-        let mut m = ReliabilityManager::new(Observer::new(vino_sim::VirtualClock::new()));
+        let mut m = ReliabilityManager::default();
         m.set_policy(policy());
         m
     }

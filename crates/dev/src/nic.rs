@@ -17,7 +17,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
 use vino_sim::metrics::Counter;
-use vino_sim::obs::Observer;
+use vino_sim::obs::{Observer, Reading};
 
 /// A TCP or UDP port number.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -89,10 +89,7 @@ impl Nic {
     fn drop_event(&mut self, port: Port) {
         self.dropped += 1;
         *self.dropped_by_port.entry(port).or_insert(0) += 1;
-        if let Some(mp) = self.obs.metrics() {
-            mp.inc(Counter::NicDropped);
-            mp.observe_nic_port_drop(port.0);
-        }
+        self.obs.report(Reading::NicPortDrop { port: port.0 });
     }
 
     /// Injects a TCP connection-established event, returning the

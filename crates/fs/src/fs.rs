@@ -13,7 +13,7 @@ use std::rc::Rc;
 use vino_dev::disk::{BlockAddr, Disk, DiskImage};
 use vino_sim::fault::FaultSite;
 use vino_sim::metrics::Component;
-use vino_sim::obs::Observer;
+use vino_sim::obs::{Observer, Reading};
 use vino_sim::profile::SpanKind;
 use vino_sim::trace::{SpanId, TraceEvent};
 use vino_sim::Cycles;
@@ -638,11 +638,9 @@ impl FileSystem {
         }
         let n = chunk.len() as u64;
         self.obs.emit(TraceEvent::FsJournalAppend { seq, blocks: n });
-        if let Some(wp) = self.obs.watch() {
-            // Occupancy while this transaction sits in the journal
-            // region: descriptor + payload blocks + commit marker.
-            wp.observe_journal(n + 2, cap as u64 + 2);
-        }
+        // Occupancy while this transaction sits in the journal region:
+        // descriptor + payload blocks + commit marker.
+        self.obs.report(Reading::JournalOccupancy { occupied: n + 2, capacity: cap as u64 + 2 });
         // The commit point: once this block is durable the
         // transaction survives any crash. Its meaningful bytes fit
         // within the smallest torn prefix, so the write is

@@ -293,11 +293,9 @@ impl PacketPlane {
             }
             Admit::ShedWatermark => {
                 self.obs().emit(TraceEvent::NetShed { port: port.0, kind: ShedKind::Watermark });
-                self.observe_shed();
             }
             Admit::DropOverflow => {
                 self.obs().emit(TraceEvent::NetShed { port: port.0, kind: ShedKind::Overflow });
-                self.observe_shed();
             }
         }
         outcome
@@ -564,14 +562,6 @@ impl PacketPlane {
     /// The kernel's observer: the packet plane reports through it.
     fn obs(&self) -> &Rc<Observer> {
         self.kernel.observer()
-    }
-
-    /// Feeds one shed packet (watermark or overflow) into the watch
-    /// plane's RX shed-rate window (the `rx-shed` SLO rule).
-    fn observe_shed(&self) {
-        if let Some(wp) = self.obs().watch() {
-            wp.observe_shed();
-        }
     }
 
     fn verdict(&self, port: Port, kind: VerdictKind) {

@@ -22,7 +22,8 @@
 //!    applied via [`FileSystem::ingest_replicated`], the same commit
 //!    pipeline (and the same crash points) a local transaction runs.
 //! 4. The replica acks cumulatively; the primary prunes its retained
-//!    tail and gauges replication lag into the watch plane.
+//!    tail and reports replication lag through the primary's
+//!    observer (a [`Reading::ReplLag`] for its watch plane).
 //!
 //! Node deaths land at PR 6 crash-point granularity:
 //! [`ReplPrimaryCrash`] and [`ReplReplicaCrash`] are schedule points
@@ -50,6 +51,7 @@ use vino_net::{Packet, PacketPlane, REPL_PORT};
 use vino_sim::clock::{Cycles, VirtualClock};
 use vino_sim::fault::{FaultPlane, FaultSite};
 use vino_sim::metrics::{Counter, MetricsPlane};
+use vino_sim::obs::Reading;
 use vino_sim::trace::{CauseCtx, MergedTrace, NodeId, SpanId, TraceEvent, TracePlane};
 use vino_sim::watch::WatchPlane;
 
@@ -188,7 +190,6 @@ pub struct ReplHarness {
     p_trace: Rc<TracePlane>,
     r_trace: Rc<TracePlane>,
     metrics: Rc<MetricsPlane>,
-    watch: Rc<WatchPlane>,
     primary: Rc<Kernel>,
     replica: Rc<Kernel>,
     p_plane: Rc<PacketPlane>,
@@ -238,14 +239,13 @@ impl ReplHarness {
         let p_trace = TracePlane::with_node(Rc::clone(&clock), 1 << 14, NodeId(0));
         let r_trace = TracePlane::with_node(Rc::clone(&clock), 1 << 14, NodeId(1));
         let metrics = MetricsPlane::new(Rc::clone(&clock));
-        let watch = WatchPlane::new(Rc::clone(&clock));
         for k in [&primary, &replica] {
             k.attach_fault_plane(Rc::clone(&fault)).expect("fresh kernel");
             k.attach_metrics_plane(Rc::clone(&metrics)).expect("fresh kernel");
         }
         primary.attach_trace_plane(Rc::clone(&p_trace)).expect("fresh kernel");
         replica.attach_trace_plane(Rc::clone(&r_trace)).expect("fresh kernel");
-        primary.attach_watch_plane(Rc::clone(&watch)).expect("fresh kernel");
+        primary.attach_watch_plane(WatchPlane::new(Rc::clone(&clock))).expect("fresh kernel");
         let p_plane = PacketPlane::new(Rc::clone(&primary));
         let r_plane = PacketPlane::new(Rc::clone(&replica));
         p_plane.open_port(REPL_PORT, RING_CAP);
@@ -257,7 +257,6 @@ impl ReplHarness {
             p_trace,
             r_trace,
             metrics,
-            watch,
             primary,
             replica,
             p_plane,
@@ -310,7 +309,7 @@ impl ReplHarness {
 
     /// The primary's watch plane (carries the replication-lag SLO).
     pub fn watch_plane(&self) -> &Rc<WatchPlane> {
-        &self.watch
+        self.primary.observer().watch().expect("attached at boot")
     }
 
     /// The primary kernel.
@@ -517,8 +516,8 @@ impl ReplHarness {
             }
         }
         if !self.primary_dead {
-            self.watch.observe_repl_lag(self.lag());
-            self.watch.observe_repl_lag_age(self.repl_lag_age());
+            let lag = Reading::ReplLag { lag: self.lag(), age: self.repl_lag_age() };
+            self.primary.observer().report(lag);
         }
         rep.acked = self.acked;
         rep.lag = self.lag();

@@ -21,7 +21,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use vino_sim::fault::FaultSite;
-use vino_sim::obs::Observer;
+use vino_sim::obs::{Observer, Reading};
 use vino_sim::profile::SpanKind;
 use vino_sim::trace::TraceEvent;
 use vino_sim::Cycles;
@@ -354,15 +354,12 @@ impl ResourceAccountant {
                 available,
             });
         }
-        acc.used.set(kind, used + amount);
-        if acc.used.get(kind) > acc.peak.get(kind) {
-            let new_peak = acc.used.get(kind);
-            acc.peak.set(kind, new_peak);
+        let used = used + amount;
+        acc.used.set(kind, used);
+        if used > acc.peak.get(kind) {
+            acc.peak.set(kind, used);
         }
-        let now_used = acc.used.get(kind);
-        if let Some(mp) = self.obs.metrics() {
-            mp.observe_rm_peak(kind.index(), now_used);
-        }
+        self.obs.report(Reading::RmInUse { kind: kind.index(), used });
         self.obs.mark(SpanKind::RmGrant, Cycles::ZERO);
         self.obs.emit(TraceEvent::ResGrant { principal: payer.0, kind: kind.index(), amount });
         Ok(())

@@ -769,11 +769,12 @@ impl MetricsPlane {
         self.undo_depth_peak.get()
     }
 
-    /// Counts one shed NIC event on `port`, alongside the aggregate
-    /// [`Counter::NicDropped`]. Allocates only on the first drop seen
-    /// for a port; the table stays sorted so exposition is
+    /// Counts one shed NIC event on `port`, in the aggregate
+    /// [`Counter::NicDropped`] and per port. Allocates only on the first
+    /// drop seen for a port; the table stays sorted so exposition is
     /// deterministic.
     pub fn observe_nic_port_drop(&self, port: u16) {
+        self.inc(Counter::NicDropped);
         let mut drops = self.nic_port_drops.borrow_mut();
         match drops.binary_search_by_key(&port, |&(p, _)| p) {
             Ok(i) => drops[i].1 += 1,

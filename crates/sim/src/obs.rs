@@ -12,18 +12,30 @@
 //!   cost to a [`Component`] in the metrics plane's ledger, the one
 //!   attribution ledger per kernel (the profile plane is a view over
 //!   it).
-//! - [`emit`](Observer::emit) records a [`TraceEvent`] and bumps its
-//!   counter twin wherever a [`Counter`] mirrors the event 1:1, so the
-//!   trace totals and the counters reconcile by construction.
+//! - [`emit`](Observer::emit) records a [`TraceEvent`] and derives
+//!   every value the event carries for the other planes: its counter
+//!   twin wherever a [`Counter`] mirrors the event 1:1 (so the trace
+//!   totals and the counters reconcile by construction), the undo-depth
+//!   peak, and the watch plane's RX-shed and lock-timeout windows.
+//! - [`report`](Observer::report) hands over a [`Reading`]: a value no
+//!   event carries (journal occupancy, replication lag, resource units
+//!   in use, a NIC port drop).
 //! - [`install`](Observer::install) interns a graft's name in the
-//!   trace and metrics planes, registers it with the profile plane, and
-//!   returns its [`GraftTags`]; the
+//!   trace and metrics planes, registers it with the profile plane,
+//!   warms the blamed principal's watch slot, and returns its
+//!   [`GraftTags`]; the
 //!   [`begin_invocation`](Observer::begin_invocation) /
 //!   [`end_invocation`](Observer::end_invocation) /
+//!   [`abort_exit`](Observer::abort_exit) /
 //!   [`fallback`](Observer::fallback) brackets and the VM's
 //!   per-instruction calls ([`retire`](Observer::retire),
 //!   [`emit_as`](Observer::emit_as)) are gated on those tags, so a graft
-//!   installed before a plane attached never feeds it.
+//!   installed before a plane attached never feeds it. The watch plane
+//!   is the exception: it keys on the blamed principal, not on an
+//!   interned name, so it sees every graft from the moment it attaches.
+//!
+//! No subsystem calls a plane to feed it; the planes' `observe_*`
+//! methods are called from here only.
 //!
 //! Attaching a plane is observation, not perturbation: only
 //! [`charge`](Observer::charge) and [`retire`](Observer::retire) move
@@ -43,7 +55,8 @@ use crate::watch::WatchPlane;
 /// What a graft saw attached when it was installed: its interned tag in
 /// each interning plane (trace, metrics) that was attached then, and
 /// whether the profile and fault planes were. The VM and the invocation
-/// brackets feed exactly these planes for the graft's whole life.
+/// brackets feed exactly these planes for the graft's whole life. It
+/// also carries the principal the watch plane blames.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraftTags {
     /// Trace-plane tag.
@@ -56,6 +69,28 @@ pub struct GraftTags {
     /// True when a fault plane was attached (the VM visits
     /// [`FaultSite::VmTrap`] on every instruction).
     pub fault: bool,
+    /// The principal the watch plane blames for the graft's
+    /// invocations, aborts and quarantine trips (its installer).
+    pub blame: u64,
+}
+
+/// A value no [`TraceEvent`] carries, handed to
+/// [`Observer::report`]. Each reading feeds exactly one plane.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reading {
+    /// A journal append left `occupied` of `capacity` blocks in the
+    /// journal region (watch plane: the `journal-full` gauge).
+    JournalOccupancy { occupied: u64, capacity: u64 },
+    /// Replication progress: `lag` committed journal records not yet
+    /// acked by the replica, the oldest sealed `age` cycles ago (watch
+    /// plane: the `replication-lag` gauge and its age).
+    ReplLag { lag: u64, age: Cycles },
+    /// `used` units of resource kind `kind` (`ResourceKind::index()`)
+    /// are granted after a charge (metrics plane: the per-kind peak).
+    RmInUse { kind: u8, used: u64 },
+    /// The NIC dropped an event bound for `port` (metrics plane: the
+    /// drop counter and the per-port drop count).
+    NicPortDrop { port: u16 },
 }
 
 /// The per-kernel observer; see the module docs.
@@ -193,13 +228,17 @@ impl Observer {
         }
     }
 
-    /// Records `ev` and bumps its counter twin.
+    /// Records `ev`, then feeds the values it carries to the other
+    /// planes: its counter twin, the undo-depth peak (`UndoPush`), and
+    /// the watch plane's RX-shed (`NetShed`, both kinds) and
+    /// lock-timeout (`LockTimeout`) windows. A watch edge the event
+    /// fires therefore follows the event in the trace.
     #[inline]
     pub fn emit(&self, ev: TraceEvent) {
         if let Some(tp) = self.trace() {
             tp.emit(ev);
         }
-        self.count_twin(ev);
+        self.derive(ev);
     }
 
     /// [`emit`](Self::emit) under an explicit causal context.
@@ -208,7 +247,18 @@ impl Observer {
         if let Some(tp) = self.trace() {
             tp.emit_with_ctx(ev, ctx);
         }
+        self.derive(ev);
+    }
+
+    #[inline]
+    fn derive(&self, ev: TraceEvent) {
         self.count_twin(ev);
+        match (ev, self.metrics(), self.watch()) {
+            (TraceEvent::UndoPush { depth, .. }, Some(mp), _) => mp.observe_undo_depth(depth),
+            (TraceEvent::NetShed { .. }, _, Some(wp)) => wp.observe_shed(),
+            (TraceEvent::LockTimeout { .. }, _, Some(wp)) => wp.observe_lock_timeout(),
+            _ => {}
+        }
     }
 
     #[inline]
@@ -217,6 +267,20 @@ impl Observer {
             if let Some(c) = counter_twin(&ev) {
                 mp.inc(c);
             }
+        }
+    }
+
+    /// Hands `r` to the plane that keeps it.
+    #[inline]
+    pub fn report(&self, r: Reading) {
+        match (r, self.metrics(), self.watch()) {
+            (Reading::JournalOccupancy { occupied, capacity }, _, Some(wp)) => {
+                wp.observe_journal(occupied, capacity)
+            }
+            (Reading::ReplLag { lag, age }, _, Some(wp)) => wp.observe_repl_lag(lag, age),
+            (Reading::RmInUse { kind, used }, Some(mp), _) => mp.observe_rm_peak(kind, used),
+            (Reading::NicPortDrop { port }, Some(mp), _) => mp.observe_nic_port_drop(port),
+            _ => {}
         }
     }
 
@@ -276,10 +340,11 @@ impl Observer {
     // -- per-graft: install-time tags gate everything below -----------------
 
     /// Interns graft `name` in the attached trace and metrics planes,
-    /// announces the install, and registers the graft with the profile
-    /// (per-PC arrays sized for a `prog_len`-instruction program).
-    /// Install time: may allocate.
-    pub fn install(&self, name: &str, prog_len: usize) -> GraftTags {
+    /// announces the install, registers the graft with the profile
+    /// (per-PC arrays sized for a `prog_len`-instruction program), and
+    /// counts the install against principal `blame` in the watch plane,
+    /// creating its window slot now. Install time: may allocate.
+    pub fn install(&self, name: &str, prog_len: usize, blame: u64) -> GraftTags {
         let trace = self.trace().map(|tp| {
             let tag = tp.tag(name);
             tp.emit(TraceEvent::GraftInstall { graft: tag });
@@ -297,7 +362,10 @@ impl Observer {
             }
             _ => false,
         };
-        GraftTags { trace, metrics, profile, fault: self.fault().is_some() }
+        if let Some(wp) = self.watch() {
+            wp.observe_install(blame);
+        }
+        GraftTags { trace, metrics, profile, fault: self.fault().is_some(), blame }
     }
 
     /// Opens an invocation bracket: `graft.invoke`, the metrics
@@ -316,11 +384,13 @@ impl Observer {
         }
     }
 
-    /// Closes the innermost invocation bracket. A commit also emits
-    /// `graft.commit`; an abort's `graft.abort` carries its cause, so
-    /// the caller emits it ([`emit_as`](Self::emit_as)).
+    /// Closes the innermost invocation bracket, which cost `cost`
+    /// cycles. A commit also emits `graft.commit` and feeds `cost` to
+    /// the watch plane. An abort's `graft.abort` carries its cause, so
+    /// the caller emits it ([`emit_as`](Self::emit_as)), then calls
+    /// [`abort_exit`](Self::abort_exit).
     #[inline]
-    pub fn end_invocation(&self, tags: &GraftTags, committed: bool) {
+    pub fn end_invocation(&self, tags: &GraftTags, committed: bool, cost: Cycles) {
         if committed {
             if let (Some(tag), Some(tp)) = (tags.trace, self.trace()) {
                 tp.emit(TraceEvent::GraftCommit { graft: tag });
@@ -333,6 +403,29 @@ impl Observer {
                 pp.end_invocation(committed);
             }
             mp.end_invocation(committed);
+        }
+        if committed {
+            if let Some(wp) = self.watch() {
+                wp.observe_invoke(tags.blame, cost);
+            }
+        }
+    }
+
+    /// The last step of an aborted invocation that cost `cost` cycles,
+    /// once its `graft.abort` is on record. A quarantine trip the abort
+    /// caused (`quarantined` names the graft and its release deadline)
+    /// is recorded first; then the watch plane sees the invocation's
+    /// cost, the abort and the trip, all blamed on `tags.blame`.
+    pub fn abort_exit(&self, tags: &GraftTags, cost: Cycles, quarantined: Option<(&str, Cycles)>) {
+        if let Some((name, until)) = quarantined {
+            self.record_quarantine(name, until);
+        }
+        if let Some(wp) = self.watch() {
+            wp.observe_invoke(tags.blame, cost);
+            wp.observe_abort(tags.blame);
+            if quarantined.is_some() {
+                wp.observe_quarantine(tags.blame);
+            }
         }
     }
 
@@ -356,18 +449,29 @@ impl Observer {
     /// The tags graft `name` has in the planes attached *now*, interning
     /// it where needed (off the hot path). For fallbacks raised outside
     /// the graft instance, such as a dead packet filter; the profile
-    /// does not register the graft.
+    /// does not register the graft and the watch plane blames no one.
     pub fn tags_of(&self, name: &str) -> GraftTags {
         GraftTags {
             trace: self.trace().map(|tp| tp.tag(name)),
             metrics: self.metrics().map(|mp| mp.tag(name)),
             profile: false,
             fault: self.fault().is_some(),
+            blame: 0,
         }
     }
 
-    /// Records a quarantine trip for graft `name` until `until`.
-    pub fn quarantine(&self, name: &str, until: Cycles) {
+    /// Records a quarantine trip for graft `name` until `until` raised
+    /// outside an invocation (an abort's goes through
+    /// [`abort_exit`](Self::abort_exit)).
+    pub fn quarantine(&self, tags: &GraftTags, name: &str, until: Cycles) {
+        self.record_quarantine(name, until);
+        if let Some(wp) = self.watch() {
+            wp.observe_quarantine(tags.blame);
+        }
+    }
+
+    /// `graft.quarantine` and the metrics plane's health stamp.
+    fn record_quarantine(&self, name: &str, until: Cycles) {
         if let Some(tp) = self.trace() {
             let tag = tp.tag(name);
             tp.emit(TraceEvent::GraftQuarantine { graft: tag, until: until.get() });
@@ -479,9 +583,23 @@ fn counter_twin(ev: &TraceEvent) -> Option<Counter> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watch::{AlertEdge, Signal, SloRule, WatchStats};
 
     fn observer() -> Rc<Observer> {
         Observer::new(VirtualClock::new())
+    }
+
+    /// A watch plane over `obs`'s clock with one rule on `signal` that
+    /// fires at `threshold`.
+    fn watch_on(obs: &Observer, signal: Signal, threshold: u64) -> Rc<WatchPlane> {
+        let rule = SloRule { name: "rule", signal, window: Cycles(1000), threshold };
+        let wp = WatchPlane::with_rules(Rc::clone(obs.clock()), vec![rule]);
+        obs.attach_watch(Rc::clone(&wp)).unwrap();
+        wp
+    }
+
+    fn edges(wp: &WatchPlane) -> Vec<(AlertEdge, u64, u64)> {
+        wp.records().iter().map(|r| (r.edge, r.principal, r.value)).collect()
     }
 
     #[test]
@@ -530,12 +648,12 @@ mod tests {
         assert_eq!(obs.clock().now(), Cycles(7), "charging without planes still advances time");
         let mp = MetricsPlane::new(Rc::clone(obs.clock()));
         obs.attach_metrics(Rc::clone(&mp)).unwrap();
-        let tags = obs.install("g", 4);
+        let tags = obs.install("g", 4, 0);
         obs.charge(Component::Indirection, Cycles(120));
         obs.begin_invocation(&tags);
         obs.charge(Component::TxnBegin, Cycles(36));
         obs.retire(&tags, 0, Component::GraftFn, Cycles(1));
-        obs.end_invocation(&tags, true);
+        obs.end_invocation(&tags, true, Cycles::ZERO);
         let ma = mp.attribution(tags.metrics.unwrap()).unwrap();
         assert_eq!(ma.total(), Cycles(157));
         assert_eq!(obs.clock().now(), Cycles(164));
@@ -549,7 +667,7 @@ mod tests {
         assert_eq!(obs.attach_profile(Rc::clone(&pp)), Ok(()));
         assert!(Rc::ptr_eq(obs.metrics().expect("attached with the profile"), &mp));
         assert!(Rc::ptr_eq(obs.profile().expect("attached"), &pp));
-        let tags = obs.install("g", 4);
+        let tags = obs.install("g", 4, 0);
         assert!(tags.profile);
         assert_eq!(tags.metrics, Some(mp.tag("g")), "the profile keys grafts by metrics tag");
     }
@@ -594,7 +712,7 @@ mod tests {
     #[test]
     fn tags_taken_before_an_attach_never_feed_the_later_plane() {
         let obs = observer();
-        let early = obs.install("early", 4);
+        let early = obs.install("early", 4, 0);
         assert_eq!(early, GraftTags::default());
         let tp = TracePlane::new(Rc::clone(obs.clock()));
         let mp = MetricsPlane::new(Rc::clone(obs.clock()));
@@ -610,9 +728,148 @@ mod tests {
         assert_eq!(tp.stats().total, 0);
         assert_eq!(mp.get(Counter::VmWindows) + mp.get(Counter::VmInstrs), 0);
         assert_eq!(mp.kernel_attribution(), [0; Component::COUNT]);
-        let late = obs.install("late", 4);
+        let late = obs.install("late", 4, 0);
         obs.emit_as(&late, TraceEvent::VmWindow { instrs: 1, exit: crate::VmExitKind::Halt });
         assert!(obs.fire_as(&late, FaultSite::VmTrap));
         assert_eq!(mp.get(Counter::VmWindows), 1);
+    }
+
+    #[test]
+    fn both_shed_kinds_feed_the_rx_shed_window() {
+        let obs = observer();
+        let wp = watch_on(&obs, Signal::RxShed, 2);
+        obs.emit(TraceEvent::NetShed { port: 9, kind: ShedKind::Watermark });
+        assert!(wp.is_empty(), "one shed is below the threshold");
+        obs.emit_with_ctx(
+            TraceEvent::NetShed { port: 9, kind: ShedKind::Overflow },
+            CauseCtx::NONE,
+        );
+        assert_eq!(edges(&wp), vec![(AlertEdge::Firing, 0, 2)]);
+        assert_eq!(wp.stats().sheds, 2);
+        obs.emit(TraceEvent::NetRx { port: 9, len: 1 });
+        assert_eq!(wp.stats().sheds, 2, "an admitted packet is no shed");
+    }
+
+    #[test]
+    fn a_lock_timeout_feeds_the_lock_starved_window() {
+        let obs = observer();
+        let wp = watch_on(&obs, Signal::LockTimeoutRate, 1);
+        obs.emit(TraceEvent::LockTimeout { lock: 3, holder: 1 });
+        assert_eq!(edges(&wp), vec![(AlertEdge::Firing, 0, 1)]);
+        assert_eq!(wp.stats().lock_timeouts, 1);
+    }
+
+    #[test]
+    fn the_lock_starved_edge_follows_its_timeout_event_in_the_trace() {
+        let obs = observer();
+        let tp = TracePlane::new(Rc::clone(obs.clock()));
+        obs.attach_trace(Rc::clone(&tp)).unwrap();
+        watch_on(&obs, Signal::LockTimeoutRate, 1);
+        obs.emit(TraceEvent::LockTimeout { lock: 3, holder: 1 });
+        let evs: Vec<TraceEvent> = tp.records().iter().map(|r| r.event).collect();
+        assert_eq!(
+            evs,
+            vec![
+                TraceEvent::LockTimeout { lock: 3, holder: 1 },
+                TraceEvent::WatchAlertFiring { rule: tp.tag("rule"), principal: 0 },
+            ]
+        );
+    }
+
+    #[test]
+    fn an_undo_push_feeds_the_undo_depth_peak() {
+        let obs = observer();
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        for depth in [1, 4, 2] {
+            obs.emit(TraceEvent::UndoPush { thread: 1, depth });
+        }
+        assert_eq!(mp.undo_depth_peak(), 4);
+        assert_eq!(mp.get(Counter::UndoPushes), 3);
+    }
+
+    #[test]
+    fn emit_without_a_watch_plane_feeds_no_window() {
+        let obs = observer();
+        obs.emit(TraceEvent::NetShed { port: 9, kind: ShedKind::Overflow });
+        obs.emit(TraceEvent::LockTimeout { lock: 3, holder: 1 });
+        obs.report(Reading::JournalOccupancy { occupied: 9, capacity: 10 });
+        let wp = watch_on(&obs, Signal::RxShed, 1);
+        assert_eq!(wp.stats(), WatchStats::default(), "nothing was held for a later plane");
+        assert!(wp.is_empty());
+    }
+
+    #[test]
+    fn each_reading_reaches_its_plane() {
+        let obs = observer();
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        let wp = watch_on(&obs, Signal::JournalOccupancy, 750);
+
+        obs.report(Reading::JournalOccupancy { occupied: 8, capacity: 10 });
+        assert_eq!(edges(&wp), vec![(AlertEdge::Firing, 0, 800)]);
+        assert_eq!(wp.stats().journal_appends, 1);
+
+        obs.report(Reading::ReplLag { lag: 5, age: Cycles(70) });
+        assert_eq!((wp.repl_lag(), wp.repl_lag_age()), (5, Cycles(70)));
+
+        obs.report(Reading::RmInUse { kind: 2, used: 40 });
+        obs.report(Reading::RmInUse { kind: 2, used: 10 });
+        assert_eq!(mp.rm_peak(2), 40);
+
+        obs.report(Reading::NicPortDrop { port: 80 });
+        obs.report(Reading::NicPortDrop { port: 80 });
+        assert_eq!(mp.get(Counter::NicDropped), 2);
+        assert_eq!(mp.nic_port_drops(80), 2);
+    }
+
+    #[test]
+    fn graft_brackets_feed_the_watch_plane_blamed_on_the_installer() {
+        let obs = observer();
+        let tp = TracePlane::new(Rc::clone(obs.clock()));
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_trace(Rc::clone(&tp)).unwrap();
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        let churn = SloRule {
+            name: "churn",
+            signal: Signal::QuarantineChurn,
+            window: Cycles(1000),
+            threshold: 1,
+        };
+        let p99 = SloRule { signal: Signal::InvokeP99, threshold: 500, name: "p99", ..churn };
+        let wp = WatchPlane::with_rules(Rc::clone(obs.clock()), vec![churn, p99]);
+        obs.attach_watch(Rc::clone(&wp)).unwrap();
+
+        let tags = obs.install("g", 4, 7);
+        assert_eq!(tags.blame, 7);
+        assert_eq!(wp.stats().installs, 1);
+        obs.begin_invocation(&tags);
+        obs.end_invocation(&tags, true, Cycles(100));
+        assert_eq!(wp.stats().invocations, 1, "a commit feeds its cost");
+        obs.begin_invocation(&tags);
+        obs.end_invocation(&tags, false, Cycles(900));
+        assert_eq!(wp.stats().invocations, 1, "an abort's cost waits for its exit");
+
+        obs.abort_exit(&tags, Cycles(900), Some(("g", Cycles(5000))));
+        let s = wp.stats();
+        assert_eq!((s.invocations, s.aborts, s.quarantines), (2, 1, 1));
+        assert_eq!(mp.get(Counter::GraftQuarantines), 1);
+        // The trip is on record before the edges its exit fires: cost
+        // (p99) first, then churn.
+        let tail: Vec<TraceEvent> = tp.records().iter().rev().take(3).map(|r| r.event).collect();
+        assert_eq!(
+            tail,
+            vec![
+                TraceEvent::WatchAlertFiring { rule: tp.tag("churn"), principal: 7 },
+                TraceEvent::WatchAlertFiring { rule: tp.tag("p99"), principal: 7 },
+                TraceEvent::GraftQuarantine { graft: tp.tag("g"), until: 5000 },
+            ]
+        );
+
+        obs.abort_exit(&tags, Cycles(1), None);
+        obs.quarantine(&tags, "g", Cycles(9000));
+        let s = wp.stats();
+        assert_eq!((s.invocations, s.aborts, s.quarantines), (3, 2, 2));
+        assert_eq!(mp.get(Counter::GraftQuarantines), 2);
     }
 }

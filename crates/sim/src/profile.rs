@@ -658,7 +658,7 @@ mod tests {
         let obs = Observer::new(VirtualClock::new());
         let pp = ProfilePlane::new(&MetricsPlane::new(Rc::clone(obs.clock())));
         obs.attach_profile(Rc::clone(&pp)).unwrap();
-        let tags = obs.install(name, len);
+        let tags = obs.install(name, len, 0);
         (obs, pp, tags)
     }
 
@@ -671,7 +671,7 @@ mod tests {
         obs.retire(&tags, 1, Component::Sfi, Cycles(4));
         obs.retire(&tags, 1, Component::Sfi, Cycles(4));
         obs.retire(&tags, 7, Component::GraftFn, Cycles(35));
-        obs.end_invocation(&tags, true);
+        obs.end_invocation(&tags, true, Cycles::ZERO);
         let (fn_c, sfi_c, hits) = pp.pc_totals(t);
         assert_eq!(fn_c, Cycles(45));
         assert_eq!(sfi_c, Cycles(8));
@@ -696,7 +696,7 @@ mod tests {
         pp.exit_fn(t);
         obs.retire(&tags, 12, Component::GraftFn, Cycles(3));
         pp.exit_fn(t);
-        obs.end_invocation(&tags, true);
+        obs.end_invocation(&tags, true, Cycles::ZERO);
         let folded = pp.folded();
         assert!(folded.contains("g;fn@0 5\n"), "{folded}");
         assert!(folded.contains("g;fn@0;fn@10 10\n"), "{folded}");
@@ -715,7 +715,7 @@ mod tests {
         obs.retire(&tags, 4, Component::GraftFn, Cycles(1));
         pp.exit_fn(t);
         pp.exit_fn(t);
-        obs.end_invocation(&tags, true);
+        obs.end_invocation(&tags, true, Cycles::ZERO);
         let folded = pp.folded();
         assert!(folded.contains("g;fn@0;fn@4 1\n"), "{folded}");
         assert!(folded.contains("g;fn@0;fn@4;fn@4 1\n"), "{folded}");
@@ -726,15 +726,15 @@ mod tests {
         let obs = Observer::new(VirtualClock::new());
         let mp = MetricsPlane::new(Rc::clone(obs.clock()));
         obs.attach_metrics(Rc::clone(&mp)).unwrap();
-        let early = obs.install("early", 4);
+        let early = obs.install("early", 4, 0);
         let pp = ProfilePlane::new(&mp);
         obs.attach_profile(Rc::clone(&pp)).unwrap();
-        let late = obs.install("late", 4);
+        let late = obs.install("late", 4, 0);
         for tags in [early, late] {
             obs.charge(Component::Indirection, Cycles(120));
             obs.begin_invocation(&tags);
             obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
-            obs.end_invocation(&tags, true);
+            obs.end_invocation(&tags, true, Cycles::ZERO);
         }
         assert_eq!(mp.attribution(early.metrics.unwrap()).unwrap().invocations, 1);
         let snap = pp.snapshot();
@@ -748,12 +748,12 @@ mod tests {
         let obs = Observer::new(VirtualClock::new());
         let pp = ProfilePlane::with_capacity(&MetricsPlane::new(Rc::clone(obs.clock())), 4, 2);
         obs.attach_profile(Rc::clone(&pp)).unwrap();
-        let tags = obs.install("g", 0);
+        let tags = obs.install("g", 0, 0);
         obs.begin_invocation(&tags);
         obs.clock().charge(Cycles::from_us(36));
         pp.mark(SpanKind::TxnBegin, Cycles::from_us(36));
         obs.clock().charge(Cycles::from_us(30));
-        obs.end_invocation(&tags, true);
+        obs.end_invocation(&tags, true, Cycles::ZERO);
         assert_eq!(pp.span_count(), 2);
         assert_eq!(pp.spans_dropped(), 0);
         pp.mark(SpanKind::RmGrant, Cycles(0));
@@ -769,7 +769,7 @@ mod tests {
     fn aborted_invocations_are_named() {
         let (obs, pp, tags) = installed("bad", 0);
         obs.begin_invocation(&tags);
-        obs.end_invocation(&tags, false);
+        obs.end_invocation(&tags, false, Cycles::ZERO);
         assert!(pp.chrome_trace().contains("invoke:bad!abort"));
     }
 
@@ -783,7 +783,7 @@ mod tests {
         obs.retire(&tags, 8, Component::GraftFn, Cycles(100));
         obs.retire(&tags, 9, Component::Sfi, Cycles(4));
         pp.exit_fn(t);
-        obs.end_invocation(&tags, true);
+        obs.end_invocation(&tags, true, Cycles::ZERO);
         let top = pp.top_functions(10);
         assert_eq!(top[0].entry, 8);
         assert_eq!(top[0].self_cycles, 100);
@@ -799,7 +799,7 @@ mod tests {
         obs.begin_invocation(&tags);
         obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
         obs.clock().charge(Cycles(100));
-        obs.end_invocation(&tags, true);
+        obs.end_invocation(&tags, true, Cycles::ZERO);
         assert_eq!(pp.snapshot(), pp.snapshot());
     }
 }

@@ -2,8 +2,8 @@
 //! clock, and the alert stream that drives admission control.
 //!
 //! The trace plane answers *what happened*, the metrics plane *how
-//! much*; this plane answers *is it acceptable right now*. Subsystems
-//! feed fixed-capacity sliding-window aggregators — abort rate,
+//! much*; this plane answers *is it acceptable right now*. The kernel's
+//! observer feeds fixed-capacity sliding-window aggregators — abort rate,
 //! invocation p99 cycles, quarantine churn, RX shed rate, journal
 //! occupancy, lock-timeout rate, replication lag — and every
 //! observation is evaluated
@@ -23,20 +23,23 @@
 //! - **Deterministic.** Everything is integer arithmetic over the
 //!   virtual clock; two same-seed runs produce byte-identical alert
 //!   streams (`tests/watch_battery.rs`).
-//! - **Attach-once.** The plane attaches to a kernel's
-//!   [`crate::obs::Observer`] (`Kernel::attach_watch_plane`), through
-//!   which the graft engine, file system, transaction manager and
-//!   packet plane feed it; a second attach is refused.
+//! - **Attach-once, fed by the observer only.** The plane attaches to a
+//!   kernel's [`crate::obs::Observer`] (`Kernel::attach_watch_plane`); a
+//!   second attach is refused. No subsystem calls an `observe_*` method:
+//!   the observer derives the RX-shed and lock-timeout windows from the
+//!   events it emits, takes installs, invocation costs, aborts and
+//!   quarantine trips from its graft brackets, and passes journal
+//!   occupancy and replication lag on as [`crate::obs::Reading`]s.
 //! - **Passive but consulted.** Observing never charges the clock; the
 //!   one component that *reads* the plane is the kernel's admission
 //!   controller, which denies installs from principals with firing
 //!   per-principal alerts (`docs/WATCH.md`).
 //!
-//! With a trace plane attached ([`WatchPlane::set_trace_plane`]), every
-//! alert edge is mirrored as a `watch.*` trace event so alerts land on
-//! the ASCII timeline next to the aborts that caused them.
+//! With a trace plane attached before it, every alert edge is mirrored
+//! as a `watch.*` trace event so alerts land on the ASCII timeline next
+//! to the aborts that caused them.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 
@@ -431,10 +434,10 @@ pub struct WatchPlane {
     repl_lag_age: Cell<u64>,
     p99: RefCell<SampleWindow>,
     principals: RefCell<Vec<PrincipalSlot>>,
-    trace: RefCell<Option<Rc<TracePlane>>>,
-    /// Rule names interned into the trace plane at attach time, so
-    /// edge mirroring stays allocation-free.
-    rule_tags: RefCell<Vec<GraftTag>>,
+    /// The trace plane alert edges are mirrored into, with the rule
+    /// names interned there at attach time (so mirroring never
+    /// allocates).
+    mirror: OnceCell<(Rc<TracePlane>, Vec<GraftTag>)>,
 }
 
 impl WatchPlane {
@@ -482,8 +485,7 @@ impl WatchPlane {
             repl_lag_age: Cell::new(0),
             p99: RefCell::new(SampleWindow::new()),
             principals: RefCell::new(Vec::with_capacity(principals)),
-            trace: RefCell::new(None),
-            rule_tags: RefCell::new(Vec::new()),
+            mirror: OnceCell::new(),
         })
     }
 
@@ -498,25 +500,21 @@ impl WatchPlane {
     }
 
     /// Mirrors every alert edge as a `watch.*` event on `plane`. Rule
-    /// names are interned here, off the hot path.
-    pub fn set_trace_plane(&self, plane: Rc<TracePlane>) {
-        *self.rule_tags.borrow_mut() = self.rules.iter().map(|r| plane.tag(r.name)).collect();
-        *self.trace.borrow_mut() = Some(plane);
-    }
-
-    /// Pre-creates `principal`'s slot (allocation-count proofs warm
-    /// slots the same way metrics interning does).
-    pub fn touch_principal(&self, principal: u64) {
-        self.slot_index(principal);
+    /// names are interned here, off the hot path. Called by
+    /// [`Observer::attach_watch`](crate::obs::Observer::attach_watch).
+    pub(crate) fn set_trace_plane(&self, plane: Rc<TracePlane>) {
+        let tags = self.rules.iter().map(|r| plane.tag(r.name)).collect();
+        let _ = self.mirror.set((plane, tags));
     }
 
     // -- observations (the hot path) ----------------------------------------
 
-    /// One graft install by `principal`.
-    pub fn observe_install(&self, _principal: u64) {
-        let mut s = self.stats.get();
-        s.installs += 1;
-        self.stats.set(s);
+    /// One graft install by `principal`. Creates the principal's window
+    /// slot, the one allocating step on the principal path, so it
+    /// happens at install time as metrics-tag interning does.
+    pub fn observe_install(&self, principal: u64) {
+        self.slot_index(principal);
+        self.count(|s| s.installs += 1);
     }
 
     /// One completed invocation billed to `principal` costing `cost`
@@ -524,72 +522,52 @@ impl WatchPlane {
     /// [`observe_abort`](Self::observe_abort)).
     pub fn observe_invoke(&self, principal: u64, cost: Cycles) {
         let now = self.clock.now();
-        let mut s = self.stats.get();
-        s.invocations += 1;
-        self.stats.set(s);
+        self.count(|s| s.invocations += 1);
         self.p99.borrow_mut().push(now, cost.get());
-        self.eval_signal(Signal::InvokeP99, principal, now);
+        self.eval_signal(Signal::InvokeP99, principal);
     }
 
     /// One graft abort blamed on `principal`.
     pub fn observe_abort(&self, principal: u64) {
-        let now = self.clock.now();
-        let mut s = self.stats.get();
-        s.aborts += 1;
-        self.stats.set(s);
-        self.bump_principal(Signal::AbortRate, principal, now);
+        self.count(|s| s.aborts += 1);
+        self.bump_principal(Signal::AbortRate, principal);
     }
 
     /// One quarantine trip blamed on `principal`.
     pub fn observe_quarantine(&self, principal: u64) {
-        let now = self.clock.now();
-        let mut s = self.stats.get();
-        s.quarantines += 1;
-        self.stats.set(s);
-        self.bump_principal(Signal::QuarantineChurn, principal, now);
+        self.count(|s| s.quarantines += 1);
+        self.bump_principal(Signal::QuarantineChurn, principal);
     }
 
     /// One RX packet shed (watermark or overflow).
     pub fn observe_shed(&self) {
-        let now = self.clock.now();
-        let mut s = self.stats.get();
-        s.sheds += 1;
-        self.stats.set(s);
-        self.bump_global(Signal::RxShed, now);
+        self.count(|s| s.sheds += 1);
+        self.bump_global(Signal::RxShed);
     }
 
     /// One journal append leaving `occupied` of `capacity` blocks in
     /// the journal region.
     pub fn observe_journal(&self, occupied: u64, capacity: u64) {
-        let now = self.clock.now();
-        let mut s = self.stats.get();
-        s.journal_appends += 1;
-        self.stats.set(s);
+        self.count(|s| s.journal_appends += 1);
         self.journal_permille.set(occupied.saturating_mul(1000) / capacity.max(1));
-        self.eval_signal(Signal::JournalOccupancy, 0, now);
+        self.eval_signal(Signal::JournalOccupancy, 0);
     }
 
     /// One replication-plane progress report: `lag` committed journal
     /// records are shipped-or-pending but not yet cumulatively acked by
-    /// the replica.
-    pub fn observe_repl_lag(&self, lag: u64) {
-        let now = self.clock.now();
+    /// the replica, the oldest of them sealed `age` virtual cycles ago
+    /// ([`Cycles::ZERO`] when the window is empty). No SLO rule keys on
+    /// the age; it is a pure gauge whose value the `vino-bench lagpath`
+    /// per-hop breakdown reconciles against exactly.
+    pub fn observe_repl_lag(&self, lag: u64, age: Cycles) {
         self.repl_lag.set(lag);
-        self.eval_signal(Signal::ReplicationLag, 0, now);
+        self.repl_lag_age.set(age.get());
+        self.eval_signal(Signal::ReplicationLag, 0);
     }
 
     /// The last observed replication lag, in unacked committed records.
     pub fn repl_lag(&self) -> u64 {
         self.repl_lag.get()
-    }
-
-    /// One replication-lag *age* report: the oldest unacked committed
-    /// record sealed `age` virtual cycles ago (pass [`Cycles::ZERO`]
-    /// when the window is empty). A pure gauge — no SLO rule keys on
-    /// it — whose value the `vino-bench lagpath` per-hop breakdown
-    /// reconciles against exactly.
-    pub fn observe_repl_lag_age(&self, age: Cycles) {
-        self.repl_lag_age.set(age.get());
     }
 
     /// The last observed replication-lag age, in virtual cycles.
@@ -599,11 +577,8 @@ impl WatchPlane {
 
     /// One fired lock time-out.
     pub fn observe_lock_timeout(&self) {
-        let now = self.clock.now();
-        let mut s = self.stats.get();
-        s.lock_timeouts += 1;
-        self.stats.set(s);
-        self.bump_global(Signal::LockTimeoutRate, now);
+        self.count(|s| s.lock_timeouts += 1);
+        self.bump_global(Signal::LockTimeoutRate);
     }
 
     /// Rotates every window to `now` and emits `resolved` edges for
@@ -626,7 +601,14 @@ impl WatchPlane {
 
     // -- evaluation ---------------------------------------------------------
 
-    fn bump_global(&self, signal: Signal, now: Cycles) {
+    fn count(&self, bump: impl FnOnce(&mut WatchStats)) {
+        let mut s = self.stats.get();
+        bump(&mut s);
+        self.stats.set(s);
+    }
+
+    fn bump_global(&self, signal: Signal) {
+        let now = self.clock.now();
         for i in 0..self.rules.len() {
             if self.rules[i].signal == signal {
                 self.global.borrow_mut()[i].window.add(now, 1);
@@ -635,7 +617,8 @@ impl WatchPlane {
         }
     }
 
-    fn bump_principal(&self, signal: Signal, principal: u64, now: Cycles) {
+    fn bump_principal(&self, signal: Signal, principal: u64) {
+        let now = self.clock.now();
         let slot = self.slot_index(principal);
         for i in 0..self.rules.len() {
             if self.rules[i].signal == signal {
@@ -647,7 +630,8 @@ impl WatchPlane {
 
     /// Re-evaluates every rule on `signal` without bumping a window
     /// (gauge- and sample-backed signals).
-    fn eval_signal(&self, signal: Signal, blame: u64, now: Cycles) {
+    fn eval_signal(&self, signal: Signal, blame: u64) {
+        let now = self.clock.now();
         for i in 0..self.rules.len() {
             if self.rules[i].signal == signal {
                 self.eval_global_rule(i, blame, now);
@@ -714,17 +698,16 @@ impl WatchPlane {
             value,
             threshold: self.rules[rule].threshold,
         };
-        let mut s = self.stats.get();
-        match edge {
-            AlertEdge::Firing => s.fired += 1,
-            AlertEdge::Resolved => s.resolved += 1,
-        }
-        if self.ring.borrow_mut().push(rec) {
-            s.dropped += 1;
-        }
-        self.stats.set(s);
-        if let Some(tp) = self.trace.borrow().as_ref() {
-            let tag = self.rule_tags.borrow()[rule];
+        let dropped = self.ring.borrow_mut().push(rec);
+        self.count(|s| {
+            match edge {
+                AlertEdge::Firing => s.fired += 1,
+                AlertEdge::Resolved => s.resolved += 1,
+            }
+            s.dropped += u64::from(dropped);
+        });
+        if let Some((tp, tags)) = self.mirror.get() {
+            let tag = tags[rule];
             tp.emit(match edge {
                 AlertEdge::Firing => TraceEvent::WatchAlertFiring { rule: tag, principal },
                 AlertEdge::Resolved => TraceEvent::WatchAlertResolved { rule: tag, principal },
@@ -1065,11 +1048,11 @@ mod tests {
             threshold: 8,
         }];
         let (wp, _) = plane_with(rules);
-        wp.observe_repl_lag(3);
+        wp.observe_repl_lag(3, Cycles::ZERO);
         assert!(wp.is_empty(), "a shallow shipping window stays quiet");
-        wp.observe_repl_lag(8);
+        wp.observe_repl_lag(8, Cycles::ZERO);
         assert_eq!(wp.len(), 1, "8 unacked records >= 8 fires");
-        wp.observe_repl_lag(0);
+        wp.observe_repl_lag(0, Cycles::ZERO);
         assert_eq!(wp.len(), 2, "a caught-up replica resolves");
         assert_eq!(wp.records()[1].edge, AlertEdge::Resolved);
     }

@@ -330,9 +330,6 @@ impl TxnManager {
         self.obs.charge(Component::Undo, costs::UNDO_PUSH);
         frame.undo.push(UndoRecord::new(label, cost, op));
         let depth = frame.undo.len() as u64;
-        if let Some(mp) = self.obs.metrics() {
-            mp.observe_undo_depth(depth);
-        }
         self.obs.emit(TraceEvent::UndoPush { thread: thread.0, depth });
         Ok(())
     }
@@ -531,9 +528,6 @@ impl TxnManager {
             match holder {
                 Some(h) if h != waiter => {
                     if self.in_txn(h) {
-                        if let Some(wp) = self.obs.watch() {
-                            wp.observe_lock_timeout();
-                        }
                         self.obs.emit(TraceEvent::LockTimeout { lock: lock.0, holder: h.0 });
                         let report = self
                             .abort(h, AbortReason::LockTimeout(lock))

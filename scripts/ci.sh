@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 echo "== format (rustfmt --check) =="
 cargo fmt --check
 
+echo "== observer funnel (no subsystem feeds a plane except through vino_sim::obs::Observer) =="
+if grep -rnE '\.observe_[a-z_]+\(' crates/core/src crates/dev/src crates/fs/src crates/net/src \
+    crates/repl/src crates/rm/src crates/txn/src; then
+    echo "the calls above feed a plane directly; emit an event or report a Reading instead" >&2
+    exit 1
+fi
+
 echo "== build (release) =="
 cargo build --release
 
@@ -55,7 +62,7 @@ cargo test -q --test timeline_golden
 echo "== stale-golden guard (regenerated goldens must match the checked-in files) =="
 UPDATE_GOLDENS=1 cargo test -q --test trace_golden --test metrics_golden \
     --test profile_golden --test timeline_golden --test repl_battery \
-    --test causal_battery
+    --test causal_battery --test all_signals
 git diff --exit-code -- tests/goldens
 
 echo "== debugging plane (checkpoint/restore, bisect bound, shrinker minimality) =="
