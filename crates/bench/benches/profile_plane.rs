@@ -13,7 +13,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use vino_sim::metrics::{Component, MetricsPlane};
 use vino_sim::profile::{ProfilePlane, SpanKind};
 use vino_sim::trace::{TraceEvent, TracePlane, VmExitKind};
-use vino_sim::{Cycles, Observer, VirtualClock};
+use vino_sim::{Cycles, Observer, Retired, VirtualClock};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc::new();
@@ -69,7 +69,8 @@ fn bench(c: &mut Criterion) {
 
     // The same proof through the observer, with trace, metrics and
     // profile all attached: the wrapper's brackets and envelope charges
-    // plus the VM's per-instruction retire and window events.
+    // plus what the VM feeds — per-PC billing, a retired batch, and the
+    // window event.
     let obs = Observer::new(Rc::clone(&clock));
     obs.attach_trace(TracePlane::with_capacity(Rc::clone(&clock), 1 << 12)).unwrap();
     let omp = MetricsPlane::with_graft_capacity(Rc::clone(&clock), 8);
@@ -78,7 +79,7 @@ fn bench(c: &mut Criterion) {
     let grafts = [obs.install("ra", 512, 0), obs.install("evict", 512, 0)];
     for g in &grafts {
         obs.begin_invocation(g);
-        obs.retire(g, 0, Component::GraftFn, Cycles(1));
+        obs.retire(g, Retired { graft_fn: 1, ..Retired::default() });
         obs.end_invocation(g, true, Cycles::ZERO);
     }
     let before = ALLOC.allocations();
@@ -89,7 +90,15 @@ fn bench(c: &mut Criterion) {
         obs.emit(TraceEvent::TxnBegin { thread: 1, txn: i, depth: 1 });
         let pc = (i % 512) as usize;
         let comp = if pc.is_multiple_of(7) { Component::Sfi } else { Component::GraftFn };
-        obs.retire(g, pc, comp, Cycles(1 + (i % 4)));
+        let cost = 1 + (i % 4);
+        obs.profile().unwrap().record_pc(g.metrics.unwrap(), pc, comp, Cycles(cost));
+        obs.retire(
+            g,
+            match comp {
+                Component::Sfi => Retired { sfi: cost, clamps: 1, ..Retired::default() },
+                _ => Retired { graft_fn: cost, ..Retired::default() },
+            },
+        );
         obs.emit_as(g, TraceEvent::VmWindow { instrs: 1, exit: VmExitKind::Halt });
         obs.charge(Component::TxnCommit, Cycles(3600));
         obs.emit(TraceEvent::TxnCommit { thread: 1, txn: i, nested: false, locks: 0 });

@@ -14,7 +14,7 @@ use std::rc::Rc;
 use vino_core::hostfn;
 use vino_misfit::{instrument, CallableTable};
 use vino_sim::{costs, VirtualClock};
-use vino_vm::interp::{NullKernel, Vm};
+use vino_vm::interp::{Code, NullKernel, Vm};
 use vino_vm::isa::{HostFnId, Program};
 use vino_vm::mem::{AddressSpace, Protection};
 
@@ -47,7 +47,12 @@ fn run_cycles(prog: &Program, prot: Protection, seg: usize) -> (u64, u64) {
     let mut vm = Vm::new(mem);
     vm.regs[1] = base;
     let mut fuel = 10_000_000;
-    let exit = vm.run(prog, &mut NullKernel, &Rc::clone(&clock), &mut fuel);
+    let exit = vm.run(
+        &Code::new(prog).expect("assembled programs decode"),
+        &mut NullKernel,
+        &Rc::clone(&clock),
+        &mut fuel,
+    );
     assert!(matches!(exit, vino_vm::interp::Exit::Halted(_)), "{exit:?}");
     (clock.now().get(), vm.stats.loads + vm.stats.stores)
 }

@@ -117,6 +117,7 @@ pub fn instance_from(
     let principal = engine.rm.borrow_mut().create_graft_principal();
     let mem = AddressSpace::new(seg_size, 4096, protection);
     GraftInstance::new(Rc::clone(engine), loaded, mem, BENCH_THREAD, principal)
+        .expect("verified images decode")
 }
 
 /// Measures `op` `reps` times, each against a fresh state produced by

@@ -257,7 +257,7 @@ mod tests {
         let prog = assemble("adapter-test", src, &hostfn::symbols()).unwrap();
         let principal: PrincipalId = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(seg, 1024, Protection::Sfi);
-        share(GraftInstance::new(engine, prog, mem, ThreadId(1), principal))
+        share(GraftInstance::new(engine, prog, mem, ThreadId(1), principal).unwrap())
     }
 
     #[test]

@@ -20,7 +20,7 @@ use vino_sim::trace::{AbortKind, CauseCtx, TraceEvent};
 use vino_sim::{costs, Cycles, ThreadId, VirtualClock};
 use vino_txn::locks::{LockClass, LockId};
 use vino_txn::manager::{AbortReason, AbortReport, TxnId, TxnManager};
-use vino_vm::interp::{Exit, KernelApi, Trap, Vm};
+use vino_vm::interp::{Code, CodeError, Exit, KernelApi, Trap, Vm};
 use vino_vm::isa::{HostFnId, Program};
 use vino_vm::mem::AddressSpace;
 
@@ -407,12 +407,12 @@ pub struct InvokeStats {
     pub preemptions: u64,
 }
 
-/// An installed graft: program, persistent VM context, principal.
+/// An installed graft: decoded program, persistent VM context, principal.
 pub struct GraftInstance {
     /// Graft name (from the signed image).
     pub name: String,
     engine: Rc<GraftEngine>,
-    program: Program,
+    code: Code,
     vm: Vm,
     thread: ThreadId,
     /// The graft's resource principal (zero limits at install; §3.2).
@@ -436,6 +436,8 @@ pub struct GraftInstance {
 
 impl GraftInstance {
     /// Builds an instance from its parts (normally done by the loader).
+    /// The program is decoded here, once; a register or branch target
+    /// out of range is refused before anything is installed.
     ///
     /// Install time, the only point plane bookkeeping may allocate: the
     /// graft's name is interned in every plane attached *now* and the
@@ -447,14 +449,15 @@ impl GraftInstance {
         mem: AddressSpace,
         thread: ThreadId,
         principal: PrincipalId,
-    ) -> GraftInstance {
+    ) -> Result<GraftInstance, CodeError> {
+        let code = Code::new(&program)?;
         let blame = engine.rm.borrow().blame_target(principal);
-        let tags = engine.obs.install(&program.name, program.instrs.len(), blame.0);
+        let tags = engine.obs.install(&program.name, code.len(), blame.0);
         let vm = Vm::observed(mem, Rc::clone(&engine.obs), tags);
-        GraftInstance {
-            name: program.name.clone(),
+        Ok(GraftInstance {
+            name: program.name,
             engine,
-            program,
+            code,
             vm,
             thread,
             principal,
@@ -464,7 +467,7 @@ impl GraftInstance {
             tags,
             invoke_started: Cycles::ZERO,
             prev_ctx: CauseCtx::NONE,
-        }
+        })
     }
 
     /// Opens the invocation's causal span — an event origin: the span
@@ -619,7 +622,7 @@ impl GraftInstance {
         let mut slices = 0u32;
         loop {
             let mut fuel = vino_sched::Scheduler::timeslice_fuel();
-            match self.vm.run(&self.program, host, &engine.clock, &mut fuel) {
+            match self.vm.run(&self.code, host, &engine.clock, &mut fuel) {
                 Exit::Halted(result) => return Ok(result),
                 Exit::Preempted => {
                     self.stats.preemptions += 1;
@@ -815,7 +818,21 @@ mod tests {
         let prog = assemble("test-graft", src, &hostfn::symbols()).unwrap();
         let principal = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(4096, 1024, Protection::Sfi);
-        GraftInstance::new(engine, prog, mem, T, principal)
+        GraftInstance::new(engine, prog, mem, T, principal).unwrap()
+    }
+
+    #[test]
+    fn a_program_naming_a_register_past_r15_is_refused_at_install() {
+        use vino_vm::isa::{Instr, Reg};
+        let engine = GraftEngine::new(Observer::new(VirtualClock::new()));
+        let prog = Program::new(
+            "wild-reg",
+            vec![Instr::Mov { d: Reg(0), s: Reg(16) }, Instr::Halt { result: Reg(0) }],
+        );
+        let principal = engine.rm.borrow_mut().create_graft_principal();
+        let mem = AddressSpace::new(4096, 1024, Protection::Sfi);
+        let refused = GraftInstance::new(engine, prog, mem, T, principal).err();
+        assert_eq!(refused, Some(CodeError::BadReg { pc: 0, reg: 16 }));
     }
 
     #[test]

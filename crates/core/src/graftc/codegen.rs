@@ -305,7 +305,7 @@ mod tests {
     use std::rc::Rc;
 
     use vino_sim::{ThreadId, VirtualClock};
-    use vino_vm::interp::{Exit, NullKernel, Vm};
+    use vino_vm::interp::{Code, Exit, NullKernel, Vm};
     use vino_vm::mem::{AddressSpace, Protection};
 
     use super::super::compile_source;
@@ -322,7 +322,7 @@ mod tests {
         vm.regs[4] = args[3];
         let clock = VirtualClock::new();
         let mut fuel = 1_000_000;
-        match vm.run(&prog, &mut NullKernel, &clock, &mut fuel) {
+        match vm.run(&Code::new(&prog).unwrap(), &mut NullKernel, &clock, &mut fuel) {
             Exit::Halted(v) => v,
             other => panic!("{other:?}"),
         }
@@ -408,7 +408,10 @@ mod tests {
         vm.regs[1] = base;
         let clock = VirtualClock::new();
         let mut fuel = 10_000;
-        assert_eq!(vm.run(&prog, &mut NullKernel, &clock, &mut fuel), Exit::Halted(1235));
+        assert_eq!(
+            vm.run(&Code::new(&prog).unwrap(), &mut NullKernel, &clock, &mut fuel),
+            Exit::Halted(1235)
+        );
     }
 
     #[test]
@@ -424,7 +427,8 @@ mod tests {
         let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
         let principal = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(4096, 256, Protection::Sfi);
-        let mut g = GraftInstance::new(Rc::clone(&engine), prog, mem, ThreadId(1), principal);
+        let mut g =
+            GraftInstance::new(Rc::clone(&engine), prog, mem, ThreadId(1), principal).unwrap();
         match g.invoke([9, 21, 0, 0]) {
             InvokeOutcome::Ok { result, log, .. } => {
                 assert_eq!(result, 42);
@@ -448,7 +452,8 @@ mod tests {
         let engine = GraftEngine::new(vino_sim::Observer::new(VirtualClock::new()));
         let principal = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(4096, 256, Protection::Sfi);
-        let mut g = GraftInstance::new(Rc::clone(&engine), prog, mem, ThreadId(1), principal);
+        let mut g =
+            GraftInstance::new(Rc::clone(&engine), prog, mem, ThreadId(1), principal).unwrap();
         match g.invoke([0; 4]) {
             InvokeOutcome::Ok { log, .. } => assert_eq!(log, vec![42]),
             other => panic!("{other:?}"),
@@ -476,7 +481,7 @@ mod tests {
         let clock = VirtualClock::new();
         let mut fuel = 1000;
         assert!(matches!(
-            vm.run(&prog, &mut NullKernel, &clock, &mut fuel),
+            vm.run(&Code::new(&prog).unwrap(), &mut NullKernel, &clock, &mut fuel),
             Exit::Trapped(vino_vm::interp::Trap::DivByZero)
         ));
     }
@@ -506,6 +511,9 @@ mod tests {
         vm.regs[2] = 10;
         let clock = VirtualClock::new();
         let mut fuel = 100_000;
-        assert_eq!(vm.run(&inst, &mut NullKernel, &clock, &mut fuel), Exit::Halted(45));
+        assert_eq!(
+            vm.run(&Code::new(&inst).unwrap(), &mut NullKernel, &clock, &mut fuel),
+            Exit::Halted(45)
+        );
     }
 }

@@ -183,7 +183,9 @@ pub fn load_graft(
         }
     }
     let mem = AddressSpace::new(opts.seg_size, opts.kernel_region, opts.protection);
-    Ok(GraftInstance::new(Rc::clone(engine), program, mem, thread, principal))
+    // The image decoder already refused bad registers and branch targets.
+    Ok(GraftInstance::new(Rc::clone(engine), program, mem, thread, principal)
+        .expect("decoded images pre-decode"))
 }
 
 #[cfg(test)]

@@ -160,7 +160,7 @@ mod tests {
         let prog = assemble("h", src, &hostfn::symbols()).unwrap();
         let principal = engine.rm.borrow_mut().create_graft_principal();
         let mem = AddressSpace::new(4096, 256, Protection::Sfi);
-        share(GraftInstance::new(Rc::clone(engine), prog, mem, ThreadId(1), principal))
+        share(GraftInstance::new(Rc::clone(engine), prog, mem, ThreadId(1), principal).unwrap())
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn instance(e: &Rc<GraftEngine>, src: &str) -> GraftInstance {
     let prog = assemble("edge", src, &hostfn::symbols()).unwrap();
     let principal = e.rm.borrow_mut().create_graft_principal();
     let mem = AddressSpace::new(4096, 256, Protection::Sfi);
-    GraftInstance::new(Rc::clone(e), prog, mem, T, principal)
+    GraftInstance::new(Rc::clone(e), prog, mem, T, principal).unwrap()
 }
 
 #[test]

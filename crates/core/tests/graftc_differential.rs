@@ -8,7 +8,7 @@
 use vino_core::graftc::ast::{BinOp, Expr, Function, Stmt};
 use vino_core::graftc::codegen::compile;
 use vino_sim::{SplitMix64, VirtualClock};
-use vino_vm::interp::{Exit, NullKernel, Vm};
+use vino_vm::interp::{Code, Exit, NullKernel, Vm};
 use vino_vm::mem::{AddressSpace, Protection};
 
 /// Reference evaluator over two parameters.
@@ -102,7 +102,7 @@ fn run_compiled(prog: &vino_vm::isa::Program, a: u64, b: u64) -> Option<u64> {
     vm.regs[2] = b;
     let clock = VirtualClock::new();
     let mut fuel = 1_000_000;
-    match vm.run(prog, &mut NullKernel, &clock, &mut fuel) {
+    match vm.run(&Code::new(prog).unwrap(), &mut NullKernel, &clock, &mut fuel) {
         Exit::Halted(v) => Some(v),
         Exit::Trapped(vino_vm::interp::Trap::DivByZero) => None,
         other => panic!("unexpected exit: {other:?}"),

@@ -23,7 +23,7 @@ fn instance(engine: &Rc<GraftEngine>, name: &str, src: &str) -> GraftInstance {
     let prog = assemble(name, src, &hostfn::symbols()).unwrap();
     let principal = engine.rm.borrow_mut().create_graft_principal();
     let mem = AddressSpace::new(4096, 256, Protection::Sfi);
-    GraftInstance::new(Rc::clone(engine), prog, mem, T, principal)
+    GraftInstance::new(Rc::clone(engine), prog, mem, T, principal).unwrap()
 }
 
 #[test]

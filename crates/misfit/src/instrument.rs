@@ -203,7 +203,7 @@ mod tests {
     use super::*;
     use std::rc::Rc;
     use vino_sim::VirtualClock;
-    use vino_vm::interp::{Exit, NullKernel, Vm};
+    use vino_vm::interp::{Code, Exit, NullKernel, Vm};
     use vino_vm::isa::{Cond, HostFnId};
     use vino_vm::mem::{AddressSpace, Protection};
 
@@ -212,7 +212,7 @@ mod tests {
         let mut vm = Vm::new(mem);
         let clock = VirtualClock::new();
         let mut fuel = 1_000_000;
-        let exit = vm.run(prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&Code::new(prog).unwrap(), &mut NullKernel, &clock, &mut fuel);
         (exit, vm, clock)
     }
 

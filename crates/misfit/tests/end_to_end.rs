@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use vino_misfit::{MisfitTool, SigningKey};
 use vino_sim::{Observer, SplitMix64, VirtualClock};
-use vino_vm::interp::{Exit, NullKernel, Trap, Vm};
+use vino_vm::interp::{Code, Exit, NullKernel, Trap, Vm};
 use vino_vm::isa::{AluOp, Cond, Instr, Program, Reg};
 use vino_vm::mem::{AddressSpace, Protection};
 
@@ -91,7 +91,7 @@ fn processed_hostile_programs_cannot_corrupt_kernel() {
         vm.mem.kernel_bytes_mut(0, 8).unwrap().copy_from_slice(b"SENTINEL");
         let clock = VirtualClock::new();
         let mut fuel = 20_000;
-        let exit = vm.run(&loaded, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&Code::new(&loaded).unwrap(), &mut NullKernel, &clock, &mut fuel);
         // No memory fault may escape the sandbox. ForbiddenCall/WildJump
         // traps are fine (the point of CheckCall); so is preemption.
         if let Exit::Trapped(Trap::Mem(e)) = &exit {
@@ -150,7 +150,7 @@ fn instrumentation_preserves_tame_programs() {
         let mut vm_raw = Vm::new(AddressSpace::new(4096, 0, Protection::Unprotected));
         let clock: Rc<VirtualClock> = VirtualClock::new();
         let mut fuel = 1_000_000;
-        let raw = vm_raw.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let raw = vm_raw.run(&Code::new(&prog).unwrap(), &mut NullKernel, &clock, &mut fuel);
         assert_eq!(raw, Exit::Halted(expected));
 
         // Instrumented execution.
@@ -161,7 +161,7 @@ fn instrumentation_preserves_tame_programs() {
         assert_eq!(stats.mem_accesses, 2 * vals.len());
         let mut vm_sfi = Vm::new(AddressSpace::new(4096, 0, Protection::Sfi));
         let mut fuel = 1_000_000;
-        let sfi = vm_sfi.run(&inst, &mut NullKernel, &clock, &mut fuel);
+        let sfi = vm_sfi.run(&Code::new(&inst).unwrap(), &mut NullKernel, &clock, &mut fuel);
         assert_eq!(sfi, Exit::Halted(expected));
     }
 }

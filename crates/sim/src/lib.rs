@@ -36,7 +36,7 @@ pub use ids::ThreadId;
 pub use metrics::{
     Attribution, Component, Counter, CycleHistogram, MetricTag, MetricsPlane, MetricsState,
 };
-pub use obs::{GraftTags, Observer, Reading};
+pub use obs::{GraftTags, Observer, Reading, Retired};
 pub use plane::AttachError;
 pub use profile::{HotFn, ProfilePlane, SpanKind};
 pub use rng::{SplitMix64, XorShift64};

@@ -27,9 +27,9 @@
 //!   [`begin_invocation`](Observer::begin_invocation) /
 //!   [`end_invocation`](Observer::end_invocation) /
 //!   [`abort_exit`](Observer::abort_exit) /
-//!   [`fallback`](Observer::fallback) brackets and the VM's
-//!   per-instruction calls ([`retire`](Observer::retire),
-//!   [`emit_as`](Observer::emit_as)) are gated on those tags, so a graft
+//!   [`fallback`](Observer::fallback) brackets and the VM's calls
+//!   ([`retire`](Observer::retire), [`emit_as`](Observer::emit_as)) are
+//!   gated on those tags, so a graft
 //!   installed before a plane attached never feeds it. The watch plane
 //!   is the exception: it keys on the blamed principal, not on an
 //!   interned name, so it sees every graft from the moment it attaches.
@@ -91,6 +91,21 @@ pub enum Reading {
     /// The NIC dropped an event bound for `port` (metrics plane: the
     /// drop counter and the per-port drop count).
     NicPortDrop { port: u16 },
+}
+
+/// GraftVM work retired since the VM last flushed, handed to
+/// [`Observer::retire`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Retired {
+    /// Cycles of the graft's own instructions ([`Component::GraftFn`]).
+    pub graft_fn: u64,
+    /// Cycles of MiSFIT sandbox ops ([`Component::Sfi`]).
+    pub sfi: u64,
+    /// `Clamp`s retired without an `SfiCheck` event: the graft has no
+    /// trace tag, so only their counter twin is kept.
+    pub clamps: u64,
+    /// `CheckCall`s retired without an `SfiCheck` event.
+    pub checkcalls: u64,
 }
 
 /// The per-kernel observer; see the module docs.
@@ -481,16 +496,29 @@ impl Observer {
         }
     }
 
-    /// One retired GraftVM instruction at `pc`: charges the clock,
-    /// attributes `cost` to component `c` once, and bills the profile's
-    /// per-PC arrays, in the planes `tags` names.
+    /// A batch of retired GraftVM instructions: charges the clock,
+    /// attributes the batch's cycles to [`Component::GraftFn`] and
+    /// [`Component::Sfi`], and adds the counter twins of the sandbox
+    /// checks it retired without an event, in the planes `tags` names.
+    /// The VM flushes a batch before anything can read the clock or
+    /// open an attribution frame, so the result is the same as charging
+    /// each instruction as it retires. Per-PC profile billing is not
+    /// batched: the VM records it on every instruction.
     #[inline]
-    pub fn retire(&self, tags: &GraftTags, pc: usize, c: Component, cost: Cycles) {
-        self.clock.charge(cost);
-        if let (Some(tag), Some(mp)) = (tags.metrics, self.metrics()) {
-            mp.charge(c, cost);
-            if let Some(pp) = self.profiled(tags) {
-                pp.record_pc(tag, pc, c, cost);
+    pub fn retire(&self, tags: &GraftTags, batch: Retired) {
+        self.clock.charge(Cycles(batch.graft_fn + batch.sfi));
+        if let (Some(_), Some(mp)) = (tags.metrics, self.metrics()) {
+            if batch.graft_fn > 0 {
+                mp.charge(Component::GraftFn, Cycles(batch.graft_fn));
+            }
+            if batch.sfi > 0 {
+                mp.charge(Component::Sfi, Cycles(batch.sfi));
+            }
+            if batch.clamps > 0 {
+                mp.add(Counter::SfiClamps, batch.clamps);
+            }
+            if batch.checkcalls > 0 {
+                mp.add(Counter::SfiCallchecks, batch.checkcalls);
             }
         }
     }
@@ -652,11 +680,27 @@ mod tests {
         obs.charge(Component::Indirection, Cycles(120));
         obs.begin_invocation(&tags);
         obs.charge(Component::TxnBegin, Cycles(36));
-        obs.retire(&tags, 0, Component::GraftFn, Cycles(1));
+        obs.retire(&tags, Retired { graft_fn: 1, ..Retired::default() });
         obs.end_invocation(&tags, true, Cycles::ZERO);
         let ma = mp.attribution(tags.metrics.unwrap()).unwrap();
         assert_eq!(ma.total(), Cycles(157));
         assert_eq!(obs.clock().now(), Cycles(164));
+    }
+
+    #[test]
+    fn a_retired_batch_splits_its_cycles_and_adds_its_counter_twins() {
+        let obs = observer();
+        let mp = MetricsPlane::new(Rc::clone(obs.clock()));
+        obs.attach_metrics(Rc::clone(&mp)).unwrap();
+        let tags = obs.install("g", 4, 0);
+        obs.begin_invocation(&tags);
+        obs.retire(&tags, Retired { graft_fn: 10, sfi: 8, clamps: 2, checkcalls: 0 });
+        obs.retire(&tags, Retired { graft_fn: 1, sfi: 13, clamps: 0, checkcalls: 1 });
+        obs.end_invocation(&tags, true, Cycles::ZERO);
+        let ma = mp.attribution(tags.metrics.unwrap()).unwrap();
+        assert_eq!((ma.of(Component::GraftFn), ma.of(Component::Sfi)), (Cycles(11), Cycles(21)));
+        assert_eq!((mp.get(Counter::SfiClamps), mp.get(Counter::SfiCallchecks)), (2, 1));
+        assert_eq!(obs.clock().now(), Cycles(32));
     }
 
     #[test]
@@ -720,13 +764,14 @@ mod tests {
         obs.attach_metrics(Rc::clone(&mp)).unwrap();
         obs.attach_fault(FaultPlane::seeded(0)).unwrap();
         obs.fault().unwrap().set_rate(FaultSite::VmTrap, 1, 1);
-        obs.retire(&early, 0, Component::GraftFn, Cycles(1));
+        obs.retire(&early, Retired { graft_fn: 1, clamps: 1, ..Retired::default() });
         obs.emit_as(&early, TraceEvent::VmWindow { instrs: 1, exit: crate::VmExitKind::Halt });
         obs.add_as(&early, Counter::VmInstrs, 1);
         assert!(!obs.fire_as(&early, FaultSite::VmTrap));
         assert_eq!(obs.clock().now(), Cycles(1), "the clock is still charged");
         assert_eq!(tp.stats().total, 0);
         assert_eq!(mp.get(Counter::VmWindows) + mp.get(Counter::VmInstrs), 0);
+        assert_eq!(mp.get(Counter::SfiClamps), 0);
         assert_eq!(mp.kernel_attribution(), [0; Component::COUNT]);
         let late = obs.install("late", 4, 0);
         obs.emit_as(&late, TraceEvent::VmWindow { instrs: 1, exit: crate::VmExitKind::Halt });

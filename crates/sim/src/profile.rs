@@ -649,7 +649,7 @@ fn escape_json(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::clock::VirtualClock;
-    use crate::obs::{GraftTags, Observer};
+    use crate::obs::{GraftTags, Observer, Retired};
 
     /// An observer with a profile attached (and, through it, its
     /// metrics plane), and graft `name` installed with room for `len`
@@ -662,15 +662,26 @@ mod tests {
         (obs, pp, tags)
     }
 
+    /// What the VM does for one retired instruction of a profiled
+    /// graft: bill its PC, then flush it as a batch of one.
+    fn retire(obs: &Observer, tags: &GraftTags, pc: usize, c: Component, cost: Cycles) {
+        obs.profile().unwrap().record_pc(tags.metrics.unwrap(), pc, c, cost);
+        let batch = match c {
+            Component::Sfi => Retired { sfi: cost.get(), ..Retired::default() },
+            _ => Retired { graft_fn: cost.get(), ..Retired::default() },
+        };
+        obs.retire(tags, batch);
+    }
+
     #[test]
     fn per_pc_ledger_reconciles_with_components() {
         let (obs, pp, tags) = installed("g", 8);
         let t = tags.metrics.unwrap();
         obs.begin_invocation(&tags);
-        obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
-        obs.retire(&tags, 1, Component::Sfi, Cycles(4));
-        obs.retire(&tags, 1, Component::Sfi, Cycles(4));
-        obs.retire(&tags, 7, Component::GraftFn, Cycles(35));
+        retire(&obs, &tags, 0, Component::GraftFn, Cycles(10));
+        retire(&obs, &tags, 1, Component::Sfi, Cycles(4));
+        retire(&obs, &tags, 1, Component::Sfi, Cycles(4));
+        retire(&obs, &tags, 7, Component::GraftFn, Cycles(35));
         obs.end_invocation(&tags, true, Cycles::ZERO);
         let (fn_c, sfi_c, hits) = pp.pc_totals(t);
         assert_eq!(fn_c, Cycles(45));
@@ -687,14 +698,14 @@ mod tests {
         let (obs, pp, tags) = installed("g", 32);
         let t = tags.metrics.unwrap();
         obs.begin_invocation(&tags);
-        obs.retire(&tags, 0, Component::GraftFn, Cycles(5));
+        retire(&obs, &tags, 0, Component::GraftFn, Cycles(5));
         pp.enter_fn(t, 10);
-        obs.retire(&tags, 10, Component::GraftFn, Cycles(7));
-        obs.retire(&tags, 11, Component::Sfi, Cycles(4));
+        retire(&obs, &tags, 10, Component::GraftFn, Cycles(7));
+        retire(&obs, &tags, 11, Component::Sfi, Cycles(4));
         pp.enter_fn(t, 20);
-        obs.retire(&tags, 20, Component::GraftFn, Cycles(9));
+        retire(&obs, &tags, 20, Component::GraftFn, Cycles(9));
         pp.exit_fn(t);
-        obs.retire(&tags, 12, Component::GraftFn, Cycles(3));
+        retire(&obs, &tags, 12, Component::GraftFn, Cycles(3));
         pp.exit_fn(t);
         obs.end_invocation(&tags, true, Cycles::ZERO);
         let folded = pp.folded();
@@ -710,9 +721,9 @@ mod tests {
         let t = tags.metrics.unwrap();
         obs.begin_invocation(&tags);
         pp.enter_fn(t, 4);
-        obs.retire(&tags, 4, Component::GraftFn, Cycles(1));
+        retire(&obs, &tags, 4, Component::GraftFn, Cycles(1));
         pp.enter_fn(t, 4);
-        obs.retire(&tags, 4, Component::GraftFn, Cycles(1));
+        retire(&obs, &tags, 4, Component::GraftFn, Cycles(1));
         pp.exit_fn(t);
         pp.exit_fn(t);
         obs.end_invocation(&tags, true, Cycles::ZERO);
@@ -733,7 +744,7 @@ mod tests {
         for tags in [early, late] {
             obs.charge(Component::Indirection, Cycles(120));
             obs.begin_invocation(&tags);
-            obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
+            retire(&obs, &tags, 0, Component::GraftFn, Cycles(10));
             obs.end_invocation(&tags, true, Cycles::ZERO);
         }
         assert_eq!(mp.attribution(early.metrics.unwrap()).unwrap().invocations, 1);
@@ -778,10 +789,10 @@ mod tests {
         let (obs, pp, tags) = installed("g", 32);
         let t = tags.metrics.unwrap();
         obs.begin_invocation(&tags);
-        obs.retire(&tags, 0, Component::GraftFn, Cycles(5));
+        retire(&obs, &tags, 0, Component::GraftFn, Cycles(5));
         pp.enter_fn(t, 8);
-        obs.retire(&tags, 8, Component::GraftFn, Cycles(100));
-        obs.retire(&tags, 9, Component::Sfi, Cycles(4));
+        retire(&obs, &tags, 8, Component::GraftFn, Cycles(100));
+        retire(&obs, &tags, 9, Component::Sfi, Cycles(4));
         pp.exit_fn(t);
         obs.end_invocation(&tags, true, Cycles::ZERO);
         let top = pp.top_functions(10);
@@ -797,7 +808,7 @@ mod tests {
     fn snapshot_is_deterministic() {
         let (obs, pp, tags) = installed("g", 4);
         obs.begin_invocation(&tags);
-        obs.retire(&tags, 0, Component::GraftFn, Cycles(10));
+        retire(&obs, &tags, 0, Component::GraftFn, Cycles(10));
         obs.clock().charge(Cycles(100));
         obs.end_invocation(&tags, true, Cycles::ZERO);
         assert_eq!(pp.snapshot(), pp.snapshot());

@@ -16,7 +16,8 @@
 //! - [`mem`] — the sandboxed address space: a power-of-two graft segment
 //!   plus a simulated kernel region that *unprotected* grafts can corrupt
 //!   (this is what MiSFIT instrumentation prevents);
-//! - [`interp`] — the interpreter with fuel-based preemption and traps;
+//! - [`interp`] — the pre-decoded [`interp::Code`] and the interpreter,
+//!   with fuel-based preemption, traps and batched cycle retirement;
 //! - [`encode`] — the binary graft-image encoding that `vino-misfit`
 //!   signs and the kernel's loader verifies.
 
@@ -27,6 +28,6 @@ pub mod isa;
 pub mod mem;
 
 pub use asm::{assemble, disassemble, AsmError, SymbolTable};
-pub use interp::{Exit, KernelApi, NullKernel, Trap, Vm, VmConfig};
+pub use interp::{Code, CodeError, Exit, KernelApi, NullKernel, Trap, Vm, VmConfig};
 pub use isa::{AluOp, Cond, HostFnId, Instr, Program, Reg};
 pub use mem::{AddressSpace, MemError, Protection};

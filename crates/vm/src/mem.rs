@@ -142,23 +142,20 @@ impl AddressSpace {
     }
 
     /// Reads `len ∈ {1,4}` bytes at `addr` as a zero-extended value.
+    #[inline]
     pub fn read(&mut self, addr: u64, len: u32) -> Result<u64, MemError> {
-        let bytes = self.slice(addr, len as u64, false)?;
-        let mut v: u64 = 0;
-        for (i, b) in bytes.iter().enumerate() {
-            v |= (*b as u64) << (8 * i);
-        }
-        Ok(v)
+        let (bytes, _) = self.locate(addr, len as usize)?;
+        let mut le = [0u8; 8];
+        le[..bytes.len()].copy_from_slice(bytes);
+        Ok(u64::from_le_bytes(le))
     }
 
     /// Writes the low `len ∈ {1,4}` bytes of `val` at `addr`.
+    #[inline]
     pub fn write(&mut self, addr: u64, val: u64, len: u32) -> Result<(), MemError> {
-        let is_kernel = self.region_of(addr) == Some(Region::Kernel);
-        let bytes = self.slice(addr, len as u64, true)?;
-        for (i, b) in bytes.iter_mut().enumerate().take(len as usize) {
-            *b = (val >> (8 * i)) as u8;
-        }
-        if is_kernel {
+        let (bytes, region) = self.locate(addr, len as usize)?;
+        bytes.copy_from_slice(&val.to_le_bytes()[..bytes.len()]);
+        if region == Region::Kernel {
             self.kernel_writes += 1;
         }
         Ok(())
@@ -196,43 +193,29 @@ impl AddressSpace {
         self.kernel.get_mut(offset..offset + len)
     }
 
-    fn region_of(&self, addr: u64) -> Option<Region> {
-        // The guard zone counts as graft memory for access purposes, but
-        // clamp never produces an address inside it.
-        if addr >= self.seg_base && addr < self.seg_base + self.graft.len() as u64 {
-            Some(Region::Graft)
-        } else if addr >= self.kernel_base && addr < self.kernel_base + self.kernel.len() as u64 {
-            Some(Region::Kernel)
+    /// The `len` bytes at `addr` and the region holding them: one
+    /// region lookup, the graft segment first. The guard zone counts as
+    /// graft memory for access purposes, but clamp never produces an
+    /// address inside it.
+    #[inline]
+    fn locate(&mut self, addr: u64, len: usize) -> Result<(&mut [u8], Region), MemError> {
+        let (bytes, base, region) = if addr.wrapping_sub(self.seg_base) < self.graft.len() as u64 {
+            (&mut self.graft, self.seg_base, Region::Graft)
+        } else if addr.wrapping_sub(self.kernel_base) < self.kernel.len() as u64 {
+            if self.protection == Protection::Sfi {
+                // Instrumented code cannot reach here (Clamp precedes
+                // every access); if it does, the rewriter was bypassed
+                // and we fault loudly instead of corrupting.
+                return Err(MemError::KernelRegion { addr });
+            }
+            (&mut self.kernel, self.kernel_base, Region::Kernel)
         } else {
-            None
-        }
-    }
-
-    fn slice(&mut self, addr: u64, len: u64, _write: bool) -> Result<&mut [u8], MemError> {
-        match self.region_of(addr) {
-            Some(Region::Graft) => {
-                let off = (addr - self.seg_base) as usize;
-                let end = off + len as usize;
-                if end > self.graft.len() {
-                    return Err(MemError::Straddle { addr });
-                }
-                Ok(&mut self.graft[off..end])
-            }
-            Some(Region::Kernel) => {
-                if self.protection == Protection::Sfi {
-                    // Instrumented code cannot reach here (Clamp precedes
-                    // every access); if it does, the rewriter was
-                    // bypassed and we fault loudly instead of corrupting.
-                    return Err(MemError::KernelRegion { addr });
-                }
-                let off = (addr - self.kernel_base) as usize;
-                let end = off + len as usize;
-                if end > self.kernel.len() {
-                    return Err(MemError::Straddle { addr });
-                }
-                Ok(&mut self.kernel[off..end])
-            }
-            None => Err(MemError::Unmapped { addr }),
+            return Err(MemError::Unmapped { addr });
+        };
+        let off = (addr - base) as usize;
+        match bytes.get_mut(off..off + len) {
+            Some(b) => Ok((b, region)),
+            None => Err(MemError::Straddle { addr }),
         }
     }
 }

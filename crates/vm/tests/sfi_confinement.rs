@@ -10,7 +10,7 @@
 //! assert that no execution ever touches the kernel region.
 
 use vino_sim::{SplitMix64, VirtualClock};
-use vino_vm::interp::{Exit, NullKernel, Trap, Vm};
+use vino_vm::interp::{Code, Exit, NullKernel, Trap, Vm};
 use vino_vm::isa::{AluOp, Cond, Instr, Program, Reg};
 use vino_vm::mem::{AddressSpace, Protection};
 
@@ -163,7 +163,7 @@ fn instrumented_programs_stay_in_segment() {
         vm.mem.kernel_bytes_mut(0, 4).unwrap().copy_from_slice(&0xDEADBEEFu32.to_le_bytes());
         let clock = VirtualClock::new();
         let mut fuel = 5_000; // Bounded: wild jumps can loop.
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&Code::new(&prog).unwrap(), &mut NullKernel, &clock, &mut fuel);
         // The only acceptable outcomes: normal halt, preemption, or a
         // *non-memory* trap. Any MemError means confinement failed
         // (clamped accesses cannot be unmapped or kernel-region).
@@ -213,7 +213,7 @@ fn unprotected_wild_store_corrupts() {
         let mut vm = Vm::new(mem);
         let clock = VirtualClock::new();
         let mut fuel = 100;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&Code::new(&prog).unwrap(), &mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Halted(0));
         assert_eq!(vm.mem.kernel_write_count(), 1);
     }
@@ -231,7 +231,7 @@ fn fuel_bounds_execution_exactly() {
         let mut vm = Vm::new(mem);
         let clock = VirtualClock::new();
         let mut fuel = fuel_in;
-        let exit = vm.run(&prog, &mut NullKernel, &clock, &mut fuel);
+        let exit = vm.run(&Code::new(&prog).unwrap(), &mut NullKernel, &clock, &mut fuel);
         assert_eq!(exit, Exit::Preempted);
         assert_eq!(fuel, 0);
         assert_eq!(vm.stats.instrs, fuel_in);

@@ -19,9 +19,9 @@ fi
 echo "== build (release) =="
 cargo build --release
 
-echo "== benchmark (its own workspace: build, then traced repl-commit and fs-read smoke runs) =="
+echo "== benchmark (its own workspace: build, then traced repl-commit, fs-read and graft-mix smoke runs) =="
 cargo build --offline --release --manifest-path benchmark/Cargo.toml
-for workload in repl-commit fs-read; do
+for workload in repl-commit fs-read graft-mix; do
     bench_out=$(cargo run -q --offline --release --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 7 --seconds 2 --trace 1)
     bench_last=$(printf '%s\n' "$bench_out" | tail -n 1)
@@ -104,6 +104,9 @@ cargo bench -p vino-bench --bench profile_plane
 
 echo "== watch-plane zero-allocation proof =="
 cargo bench -p vino-bench --bench watch_plane
+
+echo "== GraftVM fast-window zero-allocation proof =="
+cargo bench -p vino-bench --bench graftvm
 
 echo "== lint (clippy, warnings are errors) =="
 cargo clippy --workspace --all-targets -- -D warnings
