@@ -160,14 +160,55 @@ pub struct RecoveryReport {
 /// blocks themselves. [`FileSystem::committed_records`] tails these in
 /// sequence order; a replica applies them via
 /// [`FileSystem::ingest_replicated`].
+///
+/// A record is checked once, where it is built: its entry table and
+/// payloads are parallel, and every payload hashes to its entry's
+/// checksum. The fields are private so that nothing can bend a record
+/// after the check; the only constructors are
+/// [`verified`](Self::verified), for bytes from outside, and the two
+/// journal paths whose sums are already correct (the commit pipeline
+/// computed them, mount-time recovery checked them).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalRecord {
+    seq: u64,
+    entries: Vec<(u64, u64)>,
+    payloads: Vec<[u8; BLOCK_SIZE]>,
+}
+
+impl JournalRecord {
+    /// Builds a record from untrusted parts — e.g. a reassembled wire
+    /// frame. `None` unless `entries` and `payloads` are parallel and
+    /// non-empty and every payload's FNV-1a equals its entry's
+    /// checksum. This is the one place such a record's payloads are
+    /// hashed on the node that receives it.
+    pub fn verified(
+        seq: u64,
+        entries: Vec<(u64, u64)>,
+        payloads: Vec<[u8; BLOCK_SIZE]>,
+    ) -> Option<JournalRecord> {
+        if entries.is_empty() || entries.len() != payloads.len() {
+            return None;
+        }
+        if entries.iter().zip(&payloads).any(|((_home, sum), data)| checksum64(data) != *sum) {
+            return None;
+        }
+        Some(JournalRecord { seq, entries, payloads })
+    }
+
     /// The transaction's journal sequence number.
-    pub seq: u64,
+    pub fn seq(&self) -> u64 {
+        self.seq
+    }
+
     /// `(home block, payload checksum)` pairs, in journal order.
-    pub entries: Vec<(u64, u64)>,
-    /// Payload blocks, parallel to `entries`.
-    pub payloads: Vec<[u8; BLOCK_SIZE]>,
+    pub fn entries(&self) -> &[(u64, u64)] {
+        &self.entries
+    }
+
+    /// Payload blocks, parallel to [`entries`](Self::entries).
+    pub fn payloads(&self) -> &[[u8; BLOCK_SIZE]] {
+        &self.payloads
+    }
 }
 
 /// Outcome of [`FileSystem::ingest_replicated`].
@@ -731,10 +772,10 @@ impl FileSystem {
     /// exact-next sequences are journalled and checkpointed through the
     /// same commit pipeline (and crash points) as a local transaction,
     /// already-applied sequences are skipped, and a sequence gap is
-    /// refused so the shipper retransmits. Payload checksums are
-    /// re-verified against the record's entry table before any write,
-    /// and that verified table is the one journalled — each payload is
-    /// hashed once on this node, not re-summed by the commit pipeline.
+    /// refused so the shipper retransmits. A [`JournalRecord`] was
+    /// checked against its entry table when it was built, so no payload
+    /// is hashed here: the table is journalled as it stands. A record
+    /// too large for this volume's journal is refused before any write.
     /// In-memory metadata is rebuilt after a successful apply, so the
     /// replica stays mountable-equivalent to its own disk.
     pub fn ingest_replicated(&mut self, rec: &JournalRecord) -> Result<IngestOutcome, FsError> {
@@ -745,16 +786,8 @@ impl FileSystem {
         if rec.seq > self.next_seq {
             return Ok(IngestOutcome::Gap { expected: self.next_seq });
         }
-        if rec.entries.len() != rec.payloads.len()
-            || rec.entries.is_empty()
-            || rec.entries.len() > self.sb.journal_capacity()
-        {
+        if rec.entries.len() > self.sb.journal_capacity() {
             return Err(FsError::BadVolume);
-        }
-        for ((_home, sum), data) in rec.entries.iter().zip(&rec.payloads) {
-            if checksum64(data) != *sum {
-                return Err(FsError::BadVolume);
-            }
         }
         self.crash_point(FaultSite::KernelCrashBeforeJournal)?;
         self.next_seq = rec.seq + 1;
@@ -1537,13 +1570,13 @@ mod tests {
         assert_eq!(fs.committed_records(3).count(), 1, "seq_from is inclusive");
         assert_eq!(fs.committed_records(4).count(), 0, "past the tail is empty");
         assert_eq!(fs.last_committed_seq(), 3);
-        // Records carry self-checking payloads (the shipping seal's
-        // ground truth).
+        // Records carry self-checking payloads: each one passes the
+        // check a replica applies to it at reassembly.
         for r in fs.committed_records(1) {
-            assert_eq!(r.entries.len(), r.payloads.len());
-            for ((_home, sum), data) in r.entries.iter().zip(&r.payloads) {
-                assert_eq!(checksum64(data), *sum);
-            }
+            assert_eq!(
+                JournalRecord::verified(r.seq(), r.entries().to_vec(), r.payloads().to_vec()),
+                Some(r.clone())
+            );
         }
         fs.prune_committed(2);
         let seqs: Vec<u64> = fs.committed_records(1).map(|r| r.seq).collect();
@@ -1603,7 +1636,7 @@ mod tests {
         for rec in &recs {
             assert_eq!(
                 r.ingest_replicated(rec),
-                Ok(IngestOutcome::Applied { blocks: rec.entries.len() as u64 })
+                Ok(IngestOutcome::Applied { blocks: rec.entries().len() as u64 })
             );
         }
         assert_eq!(r.ingest_replicated(&recs[0]), Ok(IngestOutcome::Duplicate));
@@ -1618,11 +1651,42 @@ mod tests {
             assert_eq!(pi.block(addr), ri.block(addr), "block {addr:?} diverged");
         }
 
-        // A corrupted payload is refused before anything is written.
-        let mut bad = recs[0].clone();
-        bad.seq = r.last_committed_seq() + 1;
-        bad.payloads[0][0] ^= 0xFF;
-        assert_eq!(r.ingest_replicated(&bad), Err(FsError::BadVolume));
+        // A record larger than the journal is refused before anything
+        // is written.
+        let cap = r.sb.journal_capacity();
+        let data = recs[1].payloads()[0];
+        let big = JournalRecord::verified(
+            r.last_committed_seq() + 1,
+            vec![(recs[1].entries()[0].0, checksum64(&data)); cap + 1],
+            vec![data; cap + 1],
+        )
+        .expect("sums match");
+        let before = r.disk_image();
+        assert_eq!(r.ingest_replicated(&big), Err(FsError::BadVolume));
+        assert_eq!(r.disk_image(), before);
+    }
+
+    #[test]
+    fn verified_refuses_corrupt_mismatched_and_empty_records() {
+        let mut p = fresh(8);
+        p.create("f", 4 * BLOCK_SIZE as u64).unwrap();
+        let rec = p.committed_records(1).next().cloned().expect("create committed");
+        let (seq, entries, payloads) = (rec.seq(), rec.entries().to_vec(), rec.payloads().to_vec());
+        assert!(entries.len() >= 2, "a create journals its inode and bitmap blocks");
+        assert_eq!(JournalRecord::verified(seq, entries.clone(), payloads.clone()), Some(rec));
+        // A corrupted payload no longer matches its entry's checksum.
+        let mut bent = payloads.clone();
+        bent[0][0] ^= 0xFF;
+        assert_eq!(JournalRecord::verified(seq, entries.clone(), bent), None);
+        // Entry table and payloads must be parallel.
+        let mut short = entries.clone();
+        short.pop();
+        assert_eq!(JournalRecord::verified(seq, short, payloads.clone()), None);
+        let mut long = payloads.clone();
+        long.push(payloads[0]);
+        assert_eq!(JournalRecord::verified(seq, entries, long), None);
+        // An empty record is refused.
+        assert_eq!(JournalRecord::verified(seq, Vec::new(), Vec::new()), None);
     }
 
     #[test]

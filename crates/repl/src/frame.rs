@@ -2,10 +2,16 @@
 //!
 //! A committed [`JournalRecord`] travels as one *record frame*: the
 //! entry table and payload blocks re-marshalled for the wire, with a
-//! fresh FNV-1a seal computed at ship time and xor-bound to the
-//! record's sequence — so a frame replayed under the wrong sequence, or
-//! corrupted in flight, is refused at reassembly rather than applied.
-//! The journal's own on-disk seals never leave the primary; the wire
+//! fresh FNV-1a seal over the entry table, computed at ship time and
+//! xor-bound to the record's sequence. The table holds every payload's
+//! checksum, so the seal covers the payloads through it: reassembly
+//! checks the seal, then builds the record through
+//! [`JournalRecord::verified`], which hashes each payload against its
+//! entry. A frame replayed under the wrong sequence, or corrupted
+//! anywhere in flight, is refused at reassembly rather than applied,
+//! and each payload block passes through FNV-1a once per node — at
+//! journal commit on the primary, at reassembly on the replica. The
+//! journal's own on-disk seals never leave the primary; the wire
 //! carries its own.
 //!
 //! A record frame is bigger than the packet plane allows (one payload
@@ -14,7 +20,7 @@
 //! carrying `(kind, seq, index, count)` ahead of its chunk. The
 //! [`Reassembler`] tolerates fragments arriving in any order and
 //! interleaved across sequences; a record surfaces only when its last
-//! missing fragment lands and its seal verifies.
+//! missing fragment lands and its seal and payloads verify.
 //!
 //! Acks are a single small frame: the cumulative applied sequence plus
 //! a seal. There is no negative ack — loss in either direction is
@@ -23,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use vino_fs::layout::checksum64;
-use vino_fs::{JournalRecord, BLOCK_SIZE};
+use vino_fs::{JournalDescriptor, JournalRecord, BLOCK_SIZE};
 use vino_net::PAYLOAD_CAP;
 use vino_sim::trace::CauseCtx;
 
@@ -40,57 +46,57 @@ pub const FRAG_HEADER: usize = 13 + CauseCtx::WIRE_BYTES;
 /// Chunk bytes carried per fragment.
 const CHUNK: usize = PAYLOAD_CAP - FRAG_HEADER;
 
+/// Fragments in the largest record frame: one whose entry table fills
+/// a journal descriptor. [`Reassembler::accept`] refuses a fragment
+/// that claims more, so a forged count cannot make it allocate.
+pub const MAX_FRAGS: usize = body_len(JournalDescriptor::MAX_ENTRIES).div_ceil(CHUNK);
+
+/// Length of a marshalled record body with `n` entries.
+const fn body_len(n: usize) -> usize {
+    4 + n * (16 + BLOCK_SIZE) + 8
+}
+
 /// Marshals a record body: entry count, entry table, payload blocks,
-/// and a trailing seal — FNV-1a over everything before it, xor-bound
-/// to the record's sequence (the "re-seal on ship").
+/// and a trailing seal — FNV-1a over the count and entry table,
+/// xor-bound to the record's sequence (the "re-seal on ship"). The
+/// payloads are bound through their checksums in the table, so the
+/// seal costs a few bytes per block, not a pass over each one.
 pub fn marshal(rec: &JournalRecord) -> Vec<u8> {
-    let n = rec.entries.len();
-    let mut out = Vec::with_capacity(4 + n * 16 + n * BLOCK_SIZE + 8);
+    let n = rec.entries().len();
+    let mut out = Vec::with_capacity(body_len(n));
     out.extend_from_slice(&(n as u32).to_le_bytes());
-    for (home, sum) in &rec.entries {
+    for (home, sum) in rec.entries() {
         out.extend_from_slice(&home.to_le_bytes());
         out.extend_from_slice(&sum.to_le_bytes());
     }
-    for payload in &rec.payloads {
+    let seal = checksum64(&out) ^ rec.seq();
+    for payload in rec.payloads() {
         out.extend_from_slice(payload);
     }
-    let seal = checksum64(&out) ^ rec.seq;
     out.extend_from_slice(&seal.to_le_bytes());
     out
 }
 
 /// Parses a marshalled record body back under sequence `seq`. `None`
-/// if the seal does not verify for these bytes and this sequence, or
-/// the shape is wrong.
+/// if the shape is wrong, the seal does not verify for this entry
+/// table and this sequence, or a payload does not match its entry's
+/// checksum.
 pub fn unmarshal(seq: u64, body: &[u8]) -> Option<JournalRecord> {
-    if body.len() < 4 + 8 {
+    let n = u32::from_le_bytes(body.get(..4)?.try_into().ok()?) as usize;
+    if n == 0 || n > JournalDescriptor::MAX_ENTRIES || body.len() != body_len(n) {
         return None;
     }
-    let (sealed, seal_bytes) = body.split_at(body.len() - 8);
+    let (table, rest) = body.split_at(4 + n * 16);
+    let (blocks, seal_bytes) = rest.split_at(n * BLOCK_SIZE);
     let seal = u64::from_le_bytes(seal_bytes.try_into().ok()?);
-    if checksum64(sealed) ^ seq != seal {
+    if checksum64(table) ^ seq != seal {
         return None;
     }
-    let n = u32::from_le_bytes(sealed[0..4].try_into().ok()?) as usize;
-    if sealed.len() != 4 + n * 16 + n * BLOCK_SIZE || n == 0 {
-        return None;
-    }
-    let mut entries = Vec::with_capacity(n);
-    for i in 0..n {
-        let at = 4 + i * 16;
-        let home = u64::from_le_bytes(sealed[at..at + 8].try_into().ok()?);
-        let sum = u64::from_le_bytes(sealed[at + 8..at + 16].try_into().ok()?);
-        entries.push((home, sum));
-    }
-    let mut payloads = Vec::with_capacity(n);
-    let base = 4 + n * 16;
-    for i in 0..n {
-        let at = base + i * BLOCK_SIZE;
-        let mut block = [0u8; BLOCK_SIZE];
-        block.copy_from_slice(&sealed[at..at + BLOCK_SIZE]);
-        payloads.push(block);
-    }
-    Some(JournalRecord { seq, entries, payloads })
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().expect("eight bytes"));
+    let entries = table[4..].chunks_exact(16).map(|e| (word(&e[..8]), word(&e[8..]))).collect();
+    let payloads =
+        blocks.chunks_exact(BLOCK_SIZE).map(|b| b.try_into().expect("one block")).collect();
+    JournalRecord::verified(seq, entries, payloads)
 }
 
 /// Splits a record into packet-sized fragments, each under
@@ -101,13 +107,13 @@ pub fn unmarshal(seq: u64, body: &[u8]) -> Option<JournalRecord> {
 pub fn fragment(rec: &JournalRecord, ctx: CauseCtx) -> Vec<Vec<u8>> {
     let body = marshal(rec);
     let total = body.chunks(CHUNK).count();
-    assert!(total <= u16::MAX as usize, "record too large for the fragment header");
+    assert!(total <= MAX_FRAGS, "record larger than a journal descriptor can describe");
     body.chunks(CHUNK)
         .enumerate()
         .map(|(i, chunk)| {
             let mut f = Vec::with_capacity(FRAG_HEADER + chunk.len());
             f.push(KIND_RECORD);
-            f.extend_from_slice(&rec.seq.to_le_bytes());
+            f.extend_from_slice(&rec.seq().to_le_bytes());
             f.extend_from_slice(&(i as u16).to_le_bytes());
             f.extend_from_slice(&(total as u16).to_le_bytes());
             f.extend_from_slice(&ctx.to_bytes());
@@ -150,9 +156,10 @@ pub fn decode_ack(payload: &[u8]) -> Option<(u64, CauseCtx)> {
 }
 
 /// Collects record fragments delivered by the packet plane and yields
-/// each record once complete and seal-verified. Fragments may arrive
-/// in any order, interleaved across sequences; a fragment that
-/// disagrees with its peers (wrong count, bad index) is dropped.
+/// each record once complete and verified. Fragments may arrive in any
+/// order, interleaved across sequences; a fragment that disagrees with
+/// its peers (wrong count, bad index) or claims more than
+/// [`MAX_FRAGS`] fragments is dropped.
 #[derive(Default)]
 pub struct Reassembler {
     parts: BTreeMap<u64, Vec<Option<Vec<u8>>>>,
@@ -174,7 +181,7 @@ impl Reassembler {
         let seq = u64::from_le_bytes(payload[1..9].try_into().ok()?);
         let idx = u16::from_le_bytes(payload[9..11].try_into().ok()?) as usize;
         let total = u16::from_le_bytes(payload[11..13].try_into().ok()?) as usize;
-        if total == 0 || idx >= total {
+        if total == 0 || total > MAX_FRAGS || idx >= total {
             return None;
         }
         let ctx = CauseCtx::from_bytes(payload[13..13 + CauseCtx::WIRE_BYTES].try_into().ok()?);
@@ -215,7 +222,28 @@ mod tests {
             entries.push((100 + i as u64, checksum64(&block)));
             payloads.push(block);
         }
-        JournalRecord { seq, entries, payloads }
+        JournalRecord::verified(seq, entries, payloads).expect("sums computed above")
+    }
+
+    /// Feeds every fragment to a fresh reassembler; the record it
+    /// surfaces, if any, and the partial state it kept.
+    fn deliver(frags: &[Vec<u8>]) -> (Option<JournalRecord>, usize) {
+        let mut r = Reassembler::new();
+        let mut done = None;
+        for f in frags {
+            if let Some((rec, _ctx)) = r.accept(f) {
+                assert!(done.is_none(), "a record surfaces once");
+                done = Some(rec);
+            }
+        }
+        (done, r.pending())
+    }
+
+    /// `frags` with the byte at body offset `at` xored by `mask`.
+    fn bend(frags: &[Vec<u8>], at: usize, mask: u8) -> Vec<Vec<u8>> {
+        let mut bent = frags.to_vec();
+        bent[at / CHUNK][FRAG_HEADER + at % CHUNK] ^= mask;
+        bent
     }
 
     #[test]
@@ -224,12 +252,92 @@ mod tests {
         let body = marshal(&rec);
         assert_eq!(unmarshal(7, &body), Some(rec.clone()));
         // The seal is bound to the sequence: the same bytes under a
-        // different sequence are refused.
+        // different sequence are refused, and so are the fragments
+        // relabelled with that sequence.
         assert_eq!(unmarshal(8, &body), None);
-        // Any flipped byte is refused.
-        let mut bent = body.clone();
-        bent[10] ^= 0x40;
-        assert_eq!(unmarshal(7, &bent), None);
+        let mut frags = fragment(&rec, CauseCtx::NONE);
+        for f in &mut frags {
+            f[1..9].copy_from_slice(&8u64.to_le_bytes());
+        }
+        assert_eq!(deliver(&frags), (None, 0));
+        // A flipped byte is refused, in the table or in the seal.
+        for at in [10, body.len() - 1] {
+            let mut bent = body.clone();
+            bent[at] ^= 0x40;
+            assert_eq!(unmarshal(7, &bent), None);
+        }
+        // So is a body cut short or run long.
+        assert_eq!(unmarshal(7, &body[..body.len() - 1]), None);
+        assert_eq!(unmarshal(7, &[body.as_slice(), &[0]].concat()), None);
+        assert_eq!(unmarshal(7, &[]), None);
+    }
+
+    #[test]
+    fn a_flipped_payload_byte_in_any_fragment_is_refused() {
+        let rec = record(5, 2);
+        let frags = fragment(&rec, CauseCtx::NONE);
+        assert_eq!(deliver(&frags), (Some(rec.clone()), 0));
+        let payloads = 4 + 2 * 16..4 + 2 * 16 + 2 * BLOCK_SIZE;
+        // Every fragment's first and last payload byte, and a stride
+        // through the rest. The seal does not cover these bytes; the
+        // per-payload check at reassembly does.
+        let mut offsets: Vec<usize> = payloads.clone().step_by(37).collect();
+        for i in 0..frags.len() {
+            let (lo, hi) = (i * CHUNK, (i + 1) * CHUNK - 1);
+            offsets.extend([lo.max(payloads.start), hi.min(payloads.end - 1)]);
+        }
+        for at in offsets {
+            assert_eq!(deliver(&bend(&frags, at, 0x01)), (None, 0), "payload byte {at} flipped");
+        }
+    }
+
+    #[test]
+    fn a_bent_entry_table_is_refused() {
+        let rec = record(6, 2);
+        let frags = fragment(&rec, CauseCtx::NONE);
+        // Any byte of the count or of an entry — home or checksum.
+        for at in 0..4 + 2 * 16 {
+            assert_eq!(deliver(&bend(&frags, at, 0x80)), (None, 0), "table byte {at} flipped");
+        }
+        // A payload corrupted together with a checksum rewritten to
+        // match it passes the per-payload check; only the seal over the
+        // entry table refuses it.
+        let mut payloads = rec.payloads().to_vec();
+        payloads[1][9] ^= 0x20;
+        let mut entries = rec.entries().to_vec();
+        entries[1].1 = checksum64(&payloads[1]);
+        let mut body = marshal(&rec);
+        body[4 + 16 + 8..4 + 2 * 16].copy_from_slice(&entries[1].1.to_le_bytes());
+        body[4 + 2 * 16 + BLOCK_SIZE + 9] ^= 0x20;
+        assert!(JournalRecord::verified(6, entries, payloads).is_some());
+        assert_eq!(unmarshal(6, &body), None);
+    }
+
+    #[test]
+    fn a_forged_fragment_count_allocates_nothing() {
+        let rec = record(4, 1);
+        let frags = fragment(&rec, CauseCtx::NONE);
+        let forge = |total: u16| {
+            let mut f = frags[0].clone();
+            f[11..13].copy_from_slice(&total.to_le_bytes());
+            f
+        };
+        let mut r = Reassembler::new();
+        assert_eq!(r.accept(&forge(u16::MAX)), None);
+        assert_eq!(r.pending(), 0, "a forged count keeps no slots");
+        assert_eq!(r.accept(&forge(MAX_FRAGS as u16 + 1)), None);
+        assert_eq!(r.pending(), 0);
+        // The largest count a real record can carry is still taken.
+        assert_eq!(r.accept(&forge(MAX_FRAGS as u16)), None);
+        assert_eq!(r.pending(), 1);
+    }
+
+    #[test]
+    fn the_largest_record_fills_exactly_max_frags() {
+        let rec = record(9, JournalDescriptor::MAX_ENTRIES);
+        let frags = fragment(&rec, CauseCtx::NONE);
+        assert_eq!(frags.len(), MAX_FRAGS);
+        assert_eq!(deliver(&frags), (Some(rec), 0));
     }
 
     #[test]

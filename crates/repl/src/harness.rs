@@ -409,10 +409,10 @@ impl ReplHarness {
         let mut batch = Vec::with_capacity(window.len());
         for rec in window {
             if self.fault.fire(FaultSite::ReplShipDrop) {
-                let drop_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq));
+                let drop_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq()));
                 self.primary
                     .observer()
-                    .emit_with_ctx(TraceEvent::ReplFrameDrop { seq: rec.seq }, drop_ctx);
+                    .emit_with_ctx(TraceEvent::ReplFrameDrop { seq: rec.seq() }, drop_ctx);
                 rep.dropped += 1;
                 continue;
             }
@@ -431,17 +431,17 @@ impl ReplHarness {
         // apply. An out-of-order frame lands as a Gap and is repaired
         // by next round's retransmission.
         for rec in &batch {
-            if rec.seq <= self.high_shipped {
+            if rec.seq() <= self.high_shipped {
                 self.primary.observer().inc(Counter::ReplRetransmits);
                 rep.retransmits += 1;
             }
-            self.high_shipped = self.high_shipped.max(rec.seq);
+            self.high_shipped = self.high_shipped.max(rec.seq());
             // The ship span is a child of the record's seal span and
             // rides every fragment of the frame in-band.
-            let ship_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq));
+            let ship_ctx = self.p_trace.mint_span(self.seal_span_of(rec.seq()));
             let frags = frame::fragment(rec, ship_ctx);
             self.primary.observer().emit_with_ctx(
-                TraceEvent::ReplShip { seq: rec.seq, frags: frags.len() as u64 },
+                TraceEvent::ReplShip { seq: rec.seq(), frags: frags.len() as u64 },
                 ship_ctx,
             );
             rep.shipped += 1;
@@ -457,7 +457,7 @@ impl ReplHarness {
                 }
             }
             for (r, ship) in completed {
-                if r.seq == self.applied + 1 && self.fault.fire(FaultSite::ReplReplicaCrash) {
+                if r.seq() == self.applied + 1 && self.fault.fire(FaultSite::ReplReplicaCrash) {
                     self.crash_replica_mid_apply(&r, ship);
                     rep.death = NodeDeath::Replica;
                     continue;
@@ -472,7 +472,7 @@ impl ReplHarness {
                 self.r_trace.set_ctx(prev);
                 match out {
                     Ok(IngestOutcome::Applied { blocks }) => {
-                        self.record_applied(r.seq, blocks, ingest_ctx);
+                        self.record_applied(r.seq(), blocks, ingest_ctx);
                         rep.applied += 1;
                     }
                     Ok(IngestOutcome::Duplicate | IngestOutcome::Gap { .. }) => {}
@@ -568,7 +568,7 @@ impl ReplHarness {
             // No ship leg here — the drain reads the durable journal
             // directly, so the ingest span chains straight off the
             // record's seal span.
-            let ingest_ctx = self.r_trace.mint_span(self.seal_span_of(rec.seq));
+            let ingest_ctx = self.r_trace.mint_span(self.seal_span_of(rec.seq()));
             let prev = self.r_trace.set_ctx(ingest_ctx);
             let out = self
                 .replica
@@ -579,11 +579,11 @@ impl ReplHarness {
             self.r_trace.set_ctx(prev);
             match out {
                 IngestOutcome::Applied { blocks } => {
-                    self.record_applied(rec.seq, blocks, ingest_ctx)
+                    self.record_applied(rec.seq(), blocks, ingest_ctx)
                 }
                 IngestOutcome::Duplicate => {}
                 IngestOutcome::Gap { expected } => {
-                    panic!("drain out of order: expected {expected}, got {}", rec.seq)
+                    panic!("drain out of order: expected {expected}, got {}", rec.seq())
                 }
             }
         }
@@ -698,12 +698,12 @@ impl ReplHarness {
     /// shadow overlay, strictly in sequence order.
     fn sync_shadow(&mut self, upto: u64) {
         let fs = self.primary.fs.borrow();
-        for rec in fs.committed_records(self.shadow_seq + 1).take_while(|r| r.seq <= upto) {
-            assert_eq!(rec.seq, self.shadow_seq + 1, "the shadow applies strictly in order");
-            for ((home, _sum), data) in rec.entries.iter().zip(&rec.payloads) {
+        for rec in fs.committed_records(self.shadow_seq + 1).take_while(|r| r.seq() <= upto) {
+            assert_eq!(rec.seq(), self.shadow_seq + 1, "the shadow applies strictly in order");
+            for ((home, _sum), data) in rec.entries().iter().zip(rec.payloads()) {
                 self.shadow.insert(*home, Box::new(*data));
             }
-            self.shadow_seq = rec.seq;
+            self.shadow_seq = rec.seq();
         }
     }
 

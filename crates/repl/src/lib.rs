@@ -9,8 +9,9 @@
 //!
 //! - [`frame`] — the wire contract: a committed
 //!   [`JournalRecord`](vino_fs::JournalRecord) marshalled into a record
-//!   frame (entry table + payload blocks + a fresh FNV-1a seal bound to
-//!   the sequence), fragmented under the packet plane's
+//!   frame (entry table + payload blocks + a fresh FNV-1a seal over the
+//!   table, bound to the sequence; each payload is checked against its
+//!   entry at reassembly), fragmented under the packet plane's
 //!   [`PAYLOAD_CAP`](vino_net::PAYLOAD_CAP), plus the cumulative-ack
 //!   frame and the reassembler.
 //! - [`harness`] — the [`ReplHarness`]: two kernels off one virtual

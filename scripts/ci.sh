@@ -40,6 +40,9 @@ SURVIVAL_SEEDS="3405691582,1122334455,987654321" cargo test -q --test survival
 echo "== packet-storm battery (pinned seed, 1M packets) =="
 PACKET_STORM_SEED=3405691582 cargo test -q --test packet_storm
 
+echo "== repl frame fuzz (pinned seed; bent fragments and acks are refused or surface the original) =="
+FRAME_FUZZ_SEED=3405691582 cargo test -q -p vino-repl --test fuzz_frame
+
 echo "== recovery battery (crash points x workloads, fault-site exhaustiveness) =="
 cargo test -q --test recovery
 
